@@ -64,7 +64,7 @@ from .policy import (
     unpack,
     vjp,
 )
-from .smoothing import smoothness_grads, smoothness_penalty, total_objective, wrap_angle
+from .smoothing import smoothness_grads, smoothness_penalty, wrap_angle
 from .sweep import SweepSpec, aggregate, derive_seed, run_sweep
 from .trainer import (
     TrainConfig,

@@ -210,13 +210,16 @@ def ga_optimize(
 
 @dataclass
 class MissionMetrics:
-    """Per-trial summary used by the sweep harness."""
+    """Per-trial summary used by the sweep harness; fields are in the
 
-    completion_steps: list
+    column order of metrics.csv.
+    """
+
     mean_completion_steps: float
     mission_steps: int
-    completed: bool
     avg_rate: float
+    completed: bool
+    completion_steps: list
 
 
 def mission_metrics(traj: TrajectoryRecord, scn: Scenario, t_max: int) -> MissionMetrics:
@@ -244,11 +247,11 @@ def mission_metrics(traj: TrajectoryRecord, scn: Scenario, t_max: int) -> Missio
     avg_rate = float(np.mean(step_means)) if step_means else 0.0
 
     return MissionMetrics(
-        completion_steps=steps_per_user,
         mean_completion_steps=float(np.mean(steps_per_user)),
         mission_steps=int(mission_steps),
-        completed=bool(completed),
         avg_rate=avg_rate,
+        completed=bool(completed),
+        completion_steps=steps_per_user,
     )
 
 

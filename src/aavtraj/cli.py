@@ -6,10 +6,10 @@ gradient check), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from dataclasses import astuple
 from typing import Optional
 
 from .baselines import (
@@ -22,6 +22,7 @@ from .baselines import (
     ga_optimize,
     mission_metrics,
 )
+from .csvio import columns, write_csv
 from .env import (
     NumericFailure,
     Scenario,
@@ -30,6 +31,7 @@ from .env import (
     load_scenario,
     rollout,
     save_scenario,
+    scenario_from_dict,
 )
 from .gradcheck import run_gradcheck, save_gradcheck_report
 from .policy import PolicyController, load_checkpoint, save_checkpoint
@@ -66,8 +68,6 @@ def _scenario_from_config(data: dict) -> Scenario:
 
     parameters (seed, k, area_side, demand range, physics).
     """
-    from .env import scenario_from_dict
-
     if "users" in data:
         return scenario_from_dict(data)
     known = {
@@ -95,29 +95,14 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _write_metrics_csv(metrics: MissionMetrics, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mean_completion_steps", "mission_steps", "avg_rate", "completed", "completion_steps"]
-        )
-        writer.writerow(
-            [
-                repr(metrics.mean_completion_steps),
-                metrics.mission_steps,
-                repr(metrics.avg_rate),
-                "true" if metrics.completed else "false",
-                ";".join(str(s) for s in metrics.completion_steps),
-            ]
-        )
-
-
-def _write_trajectory_csv(traj, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "x", "y"])
-        for t, state in enumerate(traj.states):
-            writer.writerow([t, repr(float(state.q[0])), repr(float(state.q[1]))])
+def _write_mission_csvs(traj, metrics: MissionMetrics, out: str) -> None:
+    """metrics.csv (one row) and trajectory.csv (step, x, y) of a rollout."""
+    write_csv(os.path.join(out, "metrics.csv"), columns(MissionMetrics), [astuple(metrics)])
+    write_csv(
+        os.path.join(out, "trajectory.csv"),
+        ("step", "x", "y"),
+        ([t, state.q[0], state.q[1]] for t, state in enumerate(traj.states)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +150,7 @@ def cmd_eval(args) -> int:
     traj = rollout(controller, scn, t_max, stop_eps)
     metrics = mission_metrics(traj, scn, t_max)
     out = _ensure_outdir(args.out)
-    _write_metrics_csv(metrics, os.path.join(out, "metrics.csv"))
-    _write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
+    _write_mission_csvs(traj, metrics, out)
     print(
         f"evaluated {traj.steps} steps: completed={metrics.completed}, "
         f"mean_completion_steps={metrics.mean_completion_steps}"
@@ -203,15 +187,11 @@ def cmd_baseline(args) -> int:
         except TypeError as exc:
             raise UsageError(f"bad GA config: {exc}") from exc
         best, fitness_log = ga_optimize(scn, gacfg)
-        with open(os.path.join(out, "fitness_log.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "best_fitness"])
-            for g, f in enumerate(fitness_log):
-                writer.writerow([g, repr(f)])
+        write_csv(os.path.join(out, "fitness_log.csv"), ("generation", "best_fitness"),
+                  enumerate(fitness_log))
         traj = rollout(SequenceController(best), scn, gacfg.chromosome_length, gacfg.stop_eps)
     metrics = mission_metrics(traj, scn, t_max)
-    _write_metrics_csv(metrics, os.path.join(out, "metrics.csv"))
-    _write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
+    _write_mission_csvs(traj, metrics, out)
     print(
         f"{args.method}: completed={metrics.completed}, "
         f"mean_completion_steps={metrics.mean_completion_steps}"

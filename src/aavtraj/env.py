@@ -126,12 +126,9 @@ class TrajectoryRecord:
     states has length T+1, every other per-step list has length T.
     stage_costs[t] is the cost of states[t+1]; active_masks[t] records
     which backlogs were still draining (clamp not hit) on step t.
-    observations is empty unless the control source exposes an
-    ``observe`` method.
     """
 
     states: list
-    observations: list
     controls: list
     stage_costs: list
     active_masks: list
@@ -243,18 +240,15 @@ def rollout(
 
     policy is any callable (t, state) -> Control. Termination is checked
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
-    after t_max steps. If the policy exposes an ``observe(state)`` method
-    its per-step observations are recorded on the tape.
+    after t_max steps.
     """
     if t_max < 1:
         raise ScenarioError("t_max must be >= 1")
     if stop_eps <= 0:
         raise ScenarioError("stop_eps must be > 0")
-    obs_fn = getattr(policy, "observe", None)
 
     x = initial_state(scn)
     states = [x]
-    observations: list = []
     controls: list = []
     stage_costs: list = []
     active_masks: list = []
@@ -269,8 +263,6 @@ def rollout(
         u = policy(t, x)
         if not (math.isfinite(u.v) and math.isfinite(u.theta)):
             raise NumericFailure(t, "control")
-        if obs_fn is not None:
-            observations.append(obs_fn(x))
         x_next, mask = step(x, u, scn)
         if not (np.all(np.isfinite(x_next.q)) and np.all(np.isfinite(x_next.d))):
             raise NumericFailure(t, "state")
@@ -288,7 +280,6 @@ def rollout(
 
     return TrajectoryRecord(
         states=states,
-        observations=observations,
         controls=controls,
         stage_costs=stage_costs,
         active_masks=active_masks,

@@ -8,13 +8,13 @@ comparison would be meaningless.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .adjoint import backward_closedloop
+from .csvio import columns, write_csv
 from .env import Scenario, ScenarioError, TrajectoryRecord, generate_scenario, rates, rollout
 from .policy import PolicyController, PolicyParams, init_params
 from .smoothing import smoothness_penalty
@@ -203,12 +203,8 @@ def run_gradcheck(
     )
 
 
-GRADCHECK_COLUMNS = ("param_index", "analytic", "finite_diff", "rel_err")
+GRADCHECK_COLUMNS = columns(GradcheckRow)
 
 
 def save_gradcheck_report(report: GradcheckReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRADCHECK_COLUMNS)
-        for r in report.rows:
-            writer.writerow([r.param_index, repr(r.analytic), repr(r.finite_diff), repr(r.rel_err)])
+    write_csv(path, GRADCHECK_COLUMNS, map(astuple, report.rows))

@@ -210,9 +210,6 @@ class PolicyController:
     def __call__(self, t: int, x: State) -> Control:
         return forward(self.params, observe(x, self.scn))
 
-    def observe(self, x: State) -> np.ndarray:
-        return observe(x, self.scn)
-
 
 # ---------------------------------------------------------------------------
 # checkpoints

@@ -12,12 +12,7 @@ import numpy as np
 
 
 def as_control_array(controls) -> np.ndarray:
-    """Accept a (T, 2) array or a list of Control, return (T, 2) float64."""
-    if not isinstance(controls, np.ndarray):
-        seq = list(controls)
-        if seq and hasattr(seq[0], "v"):
-            seq = [[c.v, c.theta] for c in seq]
-        controls = np.asarray(seq, dtype=np.float64)
+    """Any (T, 2) array-like of (v, theta) rows as a (T, 2) float64 array."""
     return np.asarray(controls, dtype=np.float64).reshape(-1, 2)
 
 
@@ -48,11 +43,6 @@ def smoothness_grads(controls, alpha: float) -> np.ndarray:
     grads[1:, 1] += alpha * sth
     grads[:-1, 1] -= alpha * sth
     return grads
-
-
-def total_objective(j_task: float, j_smooth: float, beta: float) -> float:
-    """Scalar the trainer descends: task cost plus beta-weighted smoothness."""
-    return float(j_task + beta * j_smooth)
 
 
 def wrap_angle(a):

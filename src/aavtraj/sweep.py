@@ -9,11 +9,10 @@ non-reproducible output.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,9 +25,10 @@ from .baselines import (
     evaluate_policy,
     ga_optimize,
 )
-from .env import Scenario, ScenarioError, generate_scenario
+from .csvio import columns, write_csv
+from .env import NumericFailure, Scenario, ScenarioError, generate_scenario
 from .policy import PolicyController
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, TrainingError, train
 
 SWEEPABLE = ("K", "L", "eta", "sigma2")
 METHODS = ("l4v", "greedy", "ga")
@@ -182,9 +182,11 @@ def _run_cell(spec: SweepSpec, method: str, value, trial: int) -> ResultRow:
 
 
 def run_sweep(spec: SweepSpec, progress=None) -> list:
-    """Run every (method, value, trial) cell sequentially; a failed cell
+    """Run every (method, value, trial) cell sequentially. A cell that
 
-    is recorded in its row and the sweep continues.
+    fails in the domain (training blow-up, non-finite values, invalid
+    scenario or config) is recorded in its row and the sweep continues;
+    any other exception is a bug and propagates.
     """
     rows = []
     for method in spec.methods:
@@ -192,7 +194,7 @@ def run_sweep(spec: SweepSpec, progress=None) -> list:
             for trial in range(spec.trials):
                 try:
                     row = _run_cell(spec, method, value, trial)
-                except Exception as exc:
+                except (TrainingError, NumericFailure, ScenarioError) as exc:
                     row = ResultRow(
                         method=method,
                         swept_variable=spec.variable,
@@ -272,61 +274,16 @@ def aggregate(rows: list) -> list:
     return out
 
 
-DETAIL_COLUMNS = (
-    "method",
-    "swept_variable",
-    "value",
-    "trial_seed",
-    "mean_completion_steps",
-    "mission_steps",
-    "avg_rate",
-    "completed",
-    "train_iterations",
-    "train_wallclock_ms",
-    "error",
-)
-
-AGGREGATE_COLUMNS = (
-    "method",
-    "swept_variable",
-    "value",
-    "trials",
-    "mean_completion_steps_mean",
-    "mean_completion_steps_std",
-    "mission_steps_mean",
-    "mission_steps_std",
-    "avg_rate_mean",
-    "avg_rate_std",
-    "completed_rate",
-    "train_iterations_mean",
-    "train_wallclock_ms_mean",
-)
+DETAIL_COLUMNS = columns(ResultRow)
+AGGREGATE_COLUMNS = columns(AggregateRow)
 
 # Columns that legitimately differ between byte-level reruns.
 TIMING_COLUMNS = ("train_wallclock_ms", "train_wallclock_ms_mean")
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def save_detail_csv(rows: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DETAIL_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(getattr(r, c)) for c in DETAIL_COLUMNS])
+    write_csv(path, DETAIL_COLUMNS, map(astuple, rows))
 
 
 def save_aggregate_csv(rows: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(getattr(r, c)) for c in AGGREGATE_COLUMNS])
+    write_csv(path, AGGREGATE_COLUMNS, map(astuple, rows))

@@ -9,14 +9,14 @@ scratch at half the learning rate before the run is declared failed.
 """
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .adjoint import backward_closedloop
+from .csvio import columns, write_csv
 from .env import NumericFailure, Scenario, ScenarioError, rollout
 from .policy import PolicyController, PolicyParams, init_params
 
@@ -95,7 +95,14 @@ def clip_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     norm = float(np.linalg.norm(grad))
     if norm <= threshold or norm == 0.0:
         return grad.copy()
-    return grad * (threshold / norm)
+    # threshold / norm can round so the rescaled norm lands an ulp above
+    # the threshold; step the scale down until the bound holds exactly
+    scale = threshold / norm
+    clipped = grad * scale
+    while float(np.linalg.norm(clipped)) > threshold:
+        scale = np.nextafter(scale, 0.0)
+        clipped = grad * scale
+    return clipped
 
 
 @dataclass
@@ -195,23 +202,8 @@ def train(scn: Scenario, cfg: TrainConfig) -> tuple[PolicyParams, TrainingLog]:
         ) from exc
 
 
-TRAINING_LOG_COLUMNS = (
-    "iteration",
-    "j_task",
-    "j_smooth",
-    "j_total",
-    "grad_norm_pre",
-    "grad_norm_post",
-    "ms",
-)
+TRAINING_LOG_COLUMNS = columns(IterationRecord)
 
 
 def save_training_log(log: TrainingLog, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_LOG_COLUMNS)
-        for r in log.rows:
-            writer.writerow(
-                [r.iteration, repr(r.j_task), repr(r.j_smooth), repr(r.j_total),
-                 repr(r.grad_norm_pre), repr(r.grad_norm_post), repr(r.ms)]
-            )
+    write_csv(path, TRAINING_LOG_COLUMNS, map(astuple, log.rows))

@@ -189,7 +189,7 @@ class TestOpenLoop:
             controls.append(u)
             costs.append(stage_cost(x, scn))
             masks.append(mask)
-        traj = TrajectoryRecord(states=states, observations=[], controls=controls,
+        traj = TrajectoryRecord(states=states, controls=controls,
                                 stage_costs=costs, active_masks=masks,
                                 completion_step=[3], terminated_step=None)
         assert states[2].d[0] > 0.0 and states[3].d[0] == 0.0
@@ -199,7 +199,7 @@ class TestOpenLoop:
 
     def test_empty_trajectory(self):
         scn = smooth_scn(k=2, seed=13)
-        traj = TrajectoryRecord(states=[initial_state(scn)], observations=[],
+        traj = TrajectoryRecord(states=[initial_state(scn)],
                                 controls=[], stage_costs=[], active_masks=[],
                                 completion_step=[None, None], terminated_step=0)
         costates, grads = backward_openloop(traj, scn)

@@ -12,8 +12,13 @@ import pytest
 
 from aavtraj import TrainingError, TrainingLog, generate_scenario, load_checkpoint, save_scenario
 from aavtraj.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from aavtraj.gradcheck import GRADCHECK_COLUMNS
-from aavtraj.trainer import TRAINING_LOG_COLUMNS
+
+# column lists as the README documents them
+TRAINING_LOG_HEADER = ["iteration", "j_task", "j_smooth", "j_total", "grad_norm_pre",
+                       "grad_norm_post", "ms"]
+METRICS_HEADER = ["mean_completion_steps", "mission_steps", "avg_rate", "completed",
+                  "completion_steps"]
+GRADCHECK_HEADER = ["param_index", "analytic", "finite_diff", "rel_err"]
 
 TRAIN_CONFIG = {
     "scenario": {"seed": 0, "k": 2},
@@ -56,7 +61,7 @@ class TestTrain:
         assert "trained 3 iterations" in capsys.readouterr().out
         log_rows = read_rows(out / "training_log.csv")
         assert len(log_rows) == 3
-        assert tuple(log_rows[0]) == TRAINING_LOG_COLUMNS
+        assert list(log_rows[0]) == TRAINING_LOG_HEADER
         params = load_checkpoint(str(out / "checkpoint.json"))
         assert params.spec.k == 2
         assert params.spec.hidden == (8, 8)
@@ -107,10 +112,11 @@ class TestEval:
         assert code == EXIT_OK
         assert "completed=True" in capsys.readouterr().out
         (metrics,) = read_rows(out / "metrics.csv")
+        assert list(metrics) == METRICS_HEADER
         assert metrics["completed"] == "true"
         traj_rows = read_rows(out / "trajectory.csv")
         assert len(traj_rows) >= 2
-        assert tuple(traj_rows[0]) == ("step", "x", "y")
+        assert list(traj_rows[0]) == ["step", "x", "y"]
 
     def test_trained_checkpoint_generalizes(self, tmp_path, trained, capsys):
         completed = 0
@@ -191,6 +197,7 @@ class TestBaseline:
                      "--config", cfg, "--seed", "5", "--t-max", "30", "--out", str(out)])
         assert code == EXIT_OK
         rows = read_rows(out / "fitness_log.csv")
+        assert list(rows[0]) == ["generation", "best_fitness"]
         assert [int(r["generation"]) for r in rows] == [0, 1, 2, 3, 4]
         fits = [float(r["best_fitness"]) for r in rows]
         assert fits == sorted(fits)  # best-so-far never regresses
@@ -253,7 +260,7 @@ class TestGradcheck:
         assert out.startswith("PASS")
         rows = read_rows(report)
         assert len(rows) == 40
-        assert tuple(rows[0]) == GRADCHECK_COLUMNS
+        assert list(rows[0]) == GRADCHECK_HEADER
         # every numeric cell must round-trip as a plain float; a numpy
         # scalar slipping through repr() would corrupt the column
         for row in rows:

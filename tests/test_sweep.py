@@ -15,13 +15,25 @@ from aavtraj import (
     run_sweep,
 )
 from aavtraj.sweep import (
-    AGGREGATE_COLUMNS,
-    DETAIL_COLUMNS,
     TIMING_COLUMNS,
     save_aggregate_csv,
     save_detail_csv,
     sweep_spec_from_dict,
 )
+
+
+# column lists as the README documents them
+DETAIL_HEADER = [
+    "method", "swept_variable", "value", "trial_seed", "mean_completion_steps",
+    "mission_steps", "avg_rate", "completed", "train_iterations", "train_wallclock_ms",
+    "error",
+]
+AGGREGATE_HEADER = [
+    "method", "swept_variable", "value", "trials", "mean_completion_steps_mean",
+    "mean_completion_steps_std", "mission_steps_mean", "mission_steps_std",
+    "avg_rate_mean", "avg_rate_std", "completed_rate", "train_iterations_mean",
+    "train_wallclock_ms_mean",
+]
 
 
 def tiny_spec(**kw):
@@ -136,6 +148,14 @@ class TestRunSweep:
         greedy = [r for r in rows if r.method == "greedy"]
         assert greedy and all(r.error == "" for r in greedy)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(scn, cfg):
+            raise TypeError("train() got an unexpected keyword argument")
+
+        monkeypatch.setattr("aavtraj.sweep.train", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_sweep(tiny_spec())
+
     def test_ga_method_runs(self):
         spec = tiny_spec(methods=("ga",),
                          ga={"population": 6, "generations": 3,
@@ -173,7 +193,7 @@ class TestCsv:
         save_detail_csv(rows, str(p))
         with open(p) as fh:
             parsed = list(csv.DictReader(fh))
-        assert tuple(parsed[0].keys()) == DETAIL_COLUMNS
+        assert list(parsed[0]) == DETAIL_HEADER
         assert len(parsed) == len(rows)
         assert parsed[0]["completed"] in ("true", "false")
         assert float(parsed[0]["mean_completion_steps"]) == rows[0].mean_completion_steps
@@ -184,7 +204,7 @@ class TestCsv:
         save_aggregate_csv(aggs, str(p))
         with open(p) as fh:
             parsed = list(csv.DictReader(fh))
-        assert tuple(parsed[0].keys()) == AGGREGATE_COLUMNS
+        assert list(parsed[0]) == AGGREGATE_HEADER
 
     def test_byte_reproducible_outside_timing_columns(self, tmp_path):
         def strip_timing(path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aavtraj import (
-    Control,
     NumericFailure,
     ScenarioError,
     TrainConfig,
@@ -20,11 +19,10 @@ from aavtraj import (
     save_training_log,
     smoothness_grads,
     smoothness_penalty,
-    total_objective,
     train,
     wrap_angle,
 )
-from aavtraj.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TRAINING_LOG_COLUMNS
+from aavtraj.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from aavtraj import trainer as trainer_mod
 
 
@@ -37,10 +35,6 @@ class TestSmoothness:
     def test_single_control_is_free(self):
         assert smoothness_penalty([(0.2, 1.0)], 1e-3) == 0.0
         assert smoothness_penalty([], 1e-3) == 0.0
-
-    def test_accepts_control_objects(self):
-        ctl = [Control(0.1, 0.0), Control(0.2, math.pi / 2)]
-        assert smoothness_penalty(ctl, 1e-3) == pytest.approx(0.011, abs=1e-15)
 
     @given(st.lists(st.tuples(st.floats(0, 0.2), st.floats(-6, 6)),
                     min_size=2, max_size=12),
@@ -70,10 +64,6 @@ class TestSmoothness:
                 assert g[t, j] == pytest.approx((up - dn) / (2 * h),
                                                 rel=1e-5, abs=1e-8)
 
-    def test_total_objective(self):
-        assert total_objective(2.0, 0.5, 1.0) == 2.5
-        assert total_objective(2.0, 0.5, 0.0) == 2.0
-
     @given(st.floats(-50, 50))
     @settings(max_examples=100, deadline=None)
     def test_wrap_angle_range_and_congruence(self, a):
@@ -98,13 +88,22 @@ class TestClip:
         z = np.zeros(4)
         assert np.array_equal(clip_gradient(z, 10.0), z)
 
+    def test_no_ulp_overshoot(self):
+        # plain rescaling by threshold / norm lands one ulp above 10 here
+        g = np.array([-7.923563182713957, 2.4300436615238925, 2.6437084946378957,
+                      4.280738485562318, -7.2824543339579675])
+        assert np.linalg.norm(g * (10.0 / np.linalg.norm(g))) > 10.0
+        clipped = clip_gradient(g, 10.0)
+        assert np.linalg.norm(clipped) <= 10.0
+        assert np.linalg.norm(clipped) == pytest.approx(10.0, rel=1e-15)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
            st.floats(0.1, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_norm_bound_invariant(self, vals, c):
         g = np.asarray(vals)
         clipped = clip_gradient(g, c)
-        assert np.linalg.norm(clipped) <= c * (1 + 1e-12)
+        assert np.linalg.norm(clipped) <= c
 
 
 class TestOptimizerStep:
@@ -276,7 +275,9 @@ class TestTrainLoop:
         save_training_log(log, str(p))
         with open(p) as fh:
             rows = list(csv.DictReader(fh))
-        assert tuple(rows[0].keys()) == TRAINING_LOG_COLUMNS
+        # the column list of the training log in the README
+        assert list(rows[0]) == [
+            "iteration", "j_task", "j_smooth", "j_total", "grad_norm_pre", "grad_norm_post", "ms"]
         assert len(rows) == 5
         for parsed, orig in zip(rows, log.rows):
             assert int(parsed["iteration"]) == orig.iteration
