@@ -25,64 +25,101 @@ from .env import (
     stage_cost,
     step,
 )
-from .policy import PolicyParams, observation_jacobian, observe, vjp
+from .policy import (
+    PolicyParams,
+    add_param_grads,
+    backprop,
+    head_cotangent,
+    observation_jacobian,
+    observe,
+    unpack,
+    vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
+)
 from .smoothing import smoothness_grads, smoothness_penalty
 
+SWEEP_BLOCK = 8  # closed-loop sweep steps whose parameter gradients are formed together
 
-def jacobian_state(x: State, u: Control, mask: np.ndarray, scn: Scenario) -> np.ndarray:
-    """d next_state / d state at (x, u) given the recorded clamp mask.
+
+def state_jacobians(positions: np.ndarray, masks: np.ndarray, scn: Scenario) -> np.ndarray:
+    """d next_state / d state of every step, (T, 2+K, 2+K), from the
+
+    pre-step positions (T, 2) and the recorded clamp masks (T, K).
 
     Block structure: the position rows are the identity (position does
     not feed back on itself beyond translation), clamped backlog rows
     are zero, active backlog rows couple to position through the rate
     gradient at the pre-step position.
     """
-    k = scn.k
-    mask = np.asarray(mask, dtype=np.float64).reshape(k)
-    jac = np.zeros((2 + k, 2 + k))
-    jac[0, 0] = 1.0
-    jac[1, 1] = 1.0
-    jac[2:, :2] = -mask[:, None] * scn.tau * rate_gradients(x.q, scn)
-    jac[2:, 2:] = np.diag(mask)
+    t_len, k = masks.shape
+    jac = np.zeros((t_len, 2 + k, 2 + k))
+    jac[:, 0, 0] = 1.0
+    jac[:, 1, 1] = 1.0
+    jac[:, 2:, :2] = -masks[:, :, None] * scn.tau * rate_gradients(positions, scn)
+    users = np.arange(2, 2 + k)
+    jac[:, users, users] = masks
     return jac
 
 
-def jacobian_control(x: State, u: Control, scn: Scenario) -> np.ndarray:
-    """d next_state / d control at (x, u); backlog rows are zero because
+def control_jacobians(controls: np.ndarray, scn: Scenario) -> np.ndarray:
+    """d next_state / d control of every (v, theta) row of controls, as
 
-    the drain rate uses the pre-step position.
+    (T, 2+K, 2); backlog rows are zero because the drain rate uses the
+    pre-step position.
     """
-    k = scn.k
-    jac = np.zeros((2 + k, 2))
-    c, s = np.cos(u.theta), np.sin(u.theta)
-    jac[0, 0] = scn.tau * c
-    jac[1, 0] = scn.tau * s
-    jac[0, 1] = -u.v * scn.tau * s
-    jac[1, 1] = u.v * scn.tau * c
+    v, theta = controls[:, 0], controls[:, 1]
+    c, s = np.cos(theta), np.sin(theta)
+    jac = np.zeros((controls.shape[0], 2 + scn.k, 2))
+    jac[:, 0, 0] = scn.tau * c
+    jac[:, 1, 0] = scn.tau * s
+    jac[:, 0, 1] = -v * scn.tau * s
+    jac[:, 1, 1] = v * scn.tau * c
     return jac
 
 
-def cost_grad_state(x: State, scn: Scenario) -> np.ndarray:
-    """Gradient of the stage cost in the state; the distance term takes
+def cost_gradients(positions: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Gradient of the stage cost in the state at every row of positions
 
-    the zero subgradient when the vehicle sits exactly on a user.
+    (N, 2), as (N, 2+K); the distance term takes the zero subgradient
+    when the vehicle sits exactly on a user.
     """
-    k = scn.k
-    grad = np.zeros(2 + k)
-    grad[2:] = 1.0
+    grad = np.zeros((positions.shape[0], 2 + scn.k))
+    grad[:, 2:] = 1.0
     if scn.dist_weight > 0.0:
-        diff = x.q - scn.user_positions
-        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        diff = positions[:, None, :] - scn.user_positions
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
         nonzero = dist > 0.0
         units = np.zeros_like(diff)
         units[nonzero] = diff[nonzero] / dist[nonzero, None]
-        grad[:2] = scn.dist_weight * np.sum(units, axis=0)
+        grad[:, :2] = scn.dist_weight * np.sum(units, axis=1)
     return grad
+
+
+# single-step forms, for a caller holding one State; perfbench/tracing.py wraps these names
+
+
+def jacobian_state(x: State, u: Control, mask: np.ndarray, scn: Scenario) -> np.ndarray:
+    """state_jacobians of the single step (x, u) with clamp mask."""
+    return state_jacobians(x.q[None], np.asarray(mask, dtype=np.float64).reshape(1, scn.k), scn)[0]
+
+
+def jacobian_control(x: State, u: Control, scn: Scenario) -> np.ndarray:
+    """control_jacobians of the single control u."""
+    return control_jacobians(np.array([[u.v, u.theta]]), scn)[0]
+
+
+def cost_grad_state(x: State, scn: Scenario) -> np.ndarray:
+    """cost_gradients at the single state x."""
+    return cost_gradients(x.q[None], scn)[0]
 
 
 def _check_record(traj: TrajectoryRecord) -> int:
     t = traj.steps
-    if len(traj.states) != t + 1 or len(traj.active_masks) != t or len(traj.stage_costs) != t:
+    if (
+        traj.positions.shape[0] != t + 1
+        or traj.backlogs.shape[0] != t + 1
+        or traj.active_masks.shape[0] != t
+        or traj.stage_costs.shape[0] != t
+    ):
         raise ScenarioError("trajectory record has inconsistent lengths")
     return t
 
@@ -100,16 +137,17 @@ def backward_openloop(traj: TrajectoryRecord, scn: Scenario) -> tuple[list, np.n
     n = 2 + scn.k
     if t_len == 0:
         return [np.zeros(n)], np.zeros((0, 2))
-    lam = cost_grad_state(traj.states[t_len], scn)
+    b_mats = control_jacobians(traj.controls, scn)
+    a_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
+    cost_grads = cost_gradients(traj.positions, scn)
+    lam = cost_grads[t_len]
     costates = [lam]
     grads = np.zeros((t_len, 2))
     for t in range(t_len - 1, -1, -1):
-        b_mat = jacobian_control(traj.states[t], traj.controls[t], scn)
-        grads[t] = b_mat.T @ lam
-        a_mat = jacobian_state(traj.states[t], traj.controls[t], traj.active_masks[t], scn)
-        lam = a_mat.T @ lam
+        grads[t] = b_mats[t].T @ lam
+        lam = a_mats[t].T @ lam
         if t >= 1:
-            lam = lam + cost_grad_state(traj.states[t], scn)
+            lam = lam + cost_grads[t]
         costates.append(lam)
     costates.reverse()
     return costates, grads
@@ -145,15 +183,22 @@ def backward_closedloop(
 ) -> GradientBundle:
     """Reverse sweep of the full training objective through the policy.
 
-    The tape must come from rolling out this same params object. Unlike
-    the open-loop sweep, the costate here also flows backwards through
-    the control law (observation Jacobian composed with the policy VJP),
-    and the smoothness partials enter each action gradient directly.
+    The tape must come from rolling out this same params object through
+    a PolicyController, which records the activations the sweep pulls
+    back through; the per-step Jacobians are built for the whole tape
+    before the sweep. Unlike the open-loop sweep, the costate here also
+    flows backwards through the control law (observation Jacobian
+    composed with the policy VJP), and the smoothness partials enter
+    each action gradient directly.
     """
     t_len = _check_record(traj)
+    if traj.activations is None:
+        raise ScenarioError("trajectory record holds no policy activations")
+    if traj.params is not params:
+        raise ScenarioError("trajectory record was rolled out with a different params object")
     p = params.flat.size
-    controls = traj.controls_array()
-    j_task = float(sum(traj.stage_costs))
+    controls = traj.controls
+    j_task = traj.task_cost()
     j_smooth = smoothness_penalty(controls, alpha)
     j_total = j_task + beta * j_smooth
     if t_len == 0:
@@ -161,25 +206,40 @@ def backward_closedloop(
 
     s_grads = smoothness_grads(controls, alpha) if beta != 0.0 else np.zeros((t_len, 2))
     obs_jac = observation_jacobian(scn)
+    b_mats = control_jacobians(controls, scn)
+    a_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
+    cost_grads = cost_gradients(traj.positions, scn)
+    inputs = traj.activations[:-1]
+    heads = traj.activations[-1][:, 0].tolist()
+    layers = unpack(params)
     param_grad = np.zeros(p)
     action_grads = np.zeros((t_len, 2))
 
-    lam = cost_grad_state(traj.states[t_len], scn)
-    for t in range(t_len - 1, -1, -1):
-        x = traj.states[t]
-        u = traj.controls[t]
-        b_mat = jacobian_control(x, u, scn)
-        g_u = b_mat.T @ lam + beta * s_grads[t]
-        action_grads[t] = g_u
-        obs = observe(x, scn)
-        p_grad, o_grad = vjp(params, obs, g_u)
-        param_grad += p_grad
-        a_mat = jacobian_state(x, u, traj.active_masks[t], scn)
-        lam = a_mat.T @ lam + obs_jac.T @ o_grad
-        if t >= 1:
-            lam = lam + cost_grad_state(x, scn)
-        if not np.all(np.isfinite(lam)):
-            raise NumericFailure(t, "backward")
+    lam = cost_grads[t_len]
+    # The sweep runs in blocks of SWEEP_BLOCK steps, the last block first.
+    # After each block, its steps' parameter gradients join the sum in sweep
+    # order (t = T-1 first), so only one block of them is held at a time.
+    for hi in range(t_len, 0, -SWEEP_BLOCK):
+        lo = max(hi - SWEEP_BLOCK, 0)
+        slopes = [1.0 - a[lo:hi] ** 2 for a in inputs[1:]]
+        cotangents = []
+        for t in range(hi - 1, lo - 1, -1):
+            g_u = b_mats[t].T @ lam + beta * s_grads[t]
+            action_grads[t] = g_u
+            delta = head_cotangent(g_u, heads[t], params.v_max)
+            step_cotangents, o_grad = backprop(layers, [s[t - lo] for s in slopes], delta)
+            cotangents.append(step_cotangents)
+            lam = a_mats[t].T @ lam + obs_jac.T @ o_grad
+            if t >= 1:
+                lam = lam + cost_grads[t]
+            if not np.isfinite(lam).all():
+                raise NumericFailure(t, "backward")
+        add_param_grads(
+            param_grad,
+            params.spec,
+            [np.array(rows) for rows in zip(*cotangents)],
+            [a[lo:hi][::-1] for a in inputs],
+        )
 
     if not np.all(np.isfinite(param_grad)):
         raise NumericFailure(0, "backward")

@@ -135,10 +135,7 @@ class GaConfig:
 
 def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:
     traj = rollout(SequenceController(chrom), scn, cfg.chromosome_length, cfg.stop_eps)
-    j = float(sum(traj.stage_costs)) + cfg.beta * smoothness_penalty(
-        traj.controls_array(), cfg.alpha
-    )
-    return -j
+    return -(traj.task_cost() + cfg.beta * smoothness_penalty(traj.controls, cfg.alpha))
 
 
 def _tournament(rng: np.random.Generator, fitness: np.ndarray, size: int) -> int:
@@ -238,13 +235,21 @@ def mission_metrics(traj: TrajectoryRecord, scn: Scenario, t_max: int) -> Missio
         steps_per_user.append(int(cs))
     mission_steps = max(steps_per_user) if completed else t_max
 
-    step_means = []
-    for t in range(traj.steps):
-        d = traj.states[t].d
-        active = d > 0.0
-        if np.any(active):
-            step_means.append(float(np.mean(rates(traj.states[t].q, scn)[active])))
-    avg_rate = float(np.mean(step_means)) if step_means else 0.0
+    t_len = traj.steps
+    active = traj.backlogs[:t_len] > 0.0
+    step_rates = rates(traj.positions[:t_len], scn)
+    # backlogs only fall, so the active set changes at most K times; the
+    # per-step means are taken over one run of equal active sets at a time.
+    # compress keeps the rows C-contiguous, so each row sums in the order
+    # of a one-step mean.
+    changes = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
+    edges = [0, *changes.tolist(), t_len]
+    step_means = [
+        np.mean(np.compress(active[lo], step_rates[lo:hi], axis=1), axis=1)
+        for lo, hi in zip(edges, edges[1:])
+        if hi > lo and np.any(active[lo])
+    ]
+    avg_rate = float(np.mean(np.concatenate(step_means))) if step_means else 0.0
 
     return MissionMetrics(
         mean_completion_steps=float(np.mean(steps_per_user)),

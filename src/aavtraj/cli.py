@@ -101,7 +101,7 @@ def _write_mission_csvs(traj, metrics: MissionMetrics, out: str) -> None:
     write_csv(
         os.path.join(out, "trajectory.csv"),
         ("step", "x", "y"),
-        ([t, state.q[0], state.q[1]] for t, state in enumerate(traj.states)),
+        ([t, x, y] for t, (x, y) in enumerate(traj.positions)),
     )
 
 

@@ -121,26 +121,44 @@ class Control:
 
 @dataclass
 class TrajectoryRecord:
-    """Forward-pass tape consumed by the reverse sweeps.
+    """Forward-pass tape consumed by the reverse sweeps, held as arrays.
 
-    states has length T+1, every other per-step list has length T.
-    stage_costs[t] is the cost of states[t+1]; active_masks[t] records
-    which backlogs were still draining (clamp not hit) on step t.
+    positions (T+1, 2) and backlogs (T+1, K) are the visited states,
+    controls (T, 2) the (v, theta) rows, active_masks (T, K) records
+    which backlogs were still draining (clamp not hit) on step t, and
+    stage_costs (T,) holds the cost of state t+1. When the control source
+    records its forward pass (PolicyController does), activations is one
+    (T, width) array per layer of it -- the observation, each hidden
+    layer, then the raw head output; an empty list when no step ran --
+    and params is the parameters object that produced them; otherwise
+    both are None.
     """
 
-    states: list
-    controls: list
-    stage_costs: list
-    active_masks: list
+    positions: np.ndarray
+    backlogs: np.ndarray
+    controls: np.ndarray
+    active_masks: np.ndarray
+    stage_costs: np.ndarray
     completion_step: list
     terminated_step: Optional[int]
+    activations: Optional[list]
+    params: object
 
     @property
     def steps(self) -> int:
-        return len(self.controls)
+        return self.controls.shape[0]
+
+    @property
+    def states(self) -> tuple:
+        """The visited states as State objects over the tape's rows, built on each access."""
+        return tuple(State(q, d) for q, d in zip(self.positions, self.backlogs))
 
     def controls_array(self) -> np.ndarray:
-        return np.array([[c.v, c.theta] for c in self.controls], dtype=np.float64).reshape(-1, 2)
+        return self.controls
+
+    def task_cost(self) -> float:
+        """Sum of the stage costs, added one by one in step order."""
+        return float(sum(self.stage_costs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +174,7 @@ def rates(q: np.ndarray, scn: Scenario) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     diff = q[..., None, :] - scn.user_positions
-    d2 = np.sum(diff * diff, axis=-1)
+    d2 = (diff * diff).sum(axis=-1)
     snr = scn.eta / ((d2 + scn.altitude**2) * scn.sigma2)
     return (scn.bandwidth / scn.k) * np.log2(1.0 + snr)
 
@@ -169,14 +187,17 @@ def rate(q: np.ndarray, i: int, scn: Scenario) -> float:
 
 
 def rate_gradients(q: np.ndarray, scn: Scenario) -> np.ndarray:
-    """(K, 2) array of d rate_i / d q at a single position q."""
-    q = np.asarray(q, dtype=np.float64).reshape(2)
-    diff = q - scn.user_positions
-    d2 = np.sum(diff * diff, axis=1)
+    """d rate_i / d q at vehicle position(s) q: (K, 2) for a single
+
+    position (2,), (..., K, 2) for a batch (..., 2).
+    """
+    q = np.asarray(q, dtype=np.float64)
+    diff = q[..., None, :] - scn.user_positions
+    d2 = (diff * diff).sum(axis=-1)
     den = d2 + scn.altitude**2
     snr = scn.eta / (den * scn.sigma2)
     coef = -(scn.bandwidth / scn.k) / LN2 * (1.0 / (1.0 + snr)) * 2.0 * scn.eta / (scn.sigma2 * den * den)
-    return coef[:, None] * diff
+    return coef[..., None] * diff
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +232,18 @@ def step(x: State, u: Control, scn: Scenario) -> tuple[State, np.ndarray]:
     return State(q_next, d_next), mask
 
 
+def stage_costs(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
+    """stage_cost of every row of positions (N, 2) and backlogs (N, K), as (N,)."""
+    costs = np.sum(backlogs, axis=1)
+    if scn.dist_weight > 0.0:
+        dists = np.sqrt(np.sum((positions[:, None, :] - scn.user_positions) ** 2, axis=2))
+        costs = costs + scn.dist_weight * np.sum(dists, axis=1)
+    return costs
+
+
 def stage_cost(x: State, scn: Scenario) -> float:
     """Backlog sum plus distance shaping: sum_i d_i + w * sum_i |q - w_i|."""
-    cost = float(np.sum(x.d))
-    if scn.dist_weight > 0.0:
-        dists = np.sqrt(np.sum((x.q - scn.user_positions) ** 2, axis=1))
-        cost += scn.dist_weight * float(np.sum(dists))
-    return cost
+    return float(stage_costs(x.q[None], x.d[None], scn)[0])
 
 
 def initial_state(scn: Scenario) -> State:
@@ -238,7 +264,10 @@ def rollout(
 ) -> TrajectoryRecord:
     """Unroll the closed loop until the residual backlog is negligible.
 
-    policy is any callable (t, state) -> Control. Termination is checked
+    policy is any callable (t, state) -> Control. A source that also has
+    a record(t, state) -> (Control, activations) method and a params
+    attribute, as PolicyController does, is called through record, and
+    the tape keeps its activations and params. Termination is checked
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
     after t_max steps.
     """
@@ -247,44 +276,59 @@ def rollout(
     if stop_eps <= 0:
         raise ScenarioError("stop_eps must be > 0")
 
+    record = getattr(policy, "record", None)
     x = initial_state(scn)
-    states = [x]
+    positions = [x.q]
+    backlogs = [x.d]
     controls: list = []
-    stage_costs: list = []
     active_masks: list = []
-    completion: list = [0 if di == 0.0 else None for di in x.d]
+    activations: list = []
     terminated: Optional[int] = None
     threshold = stop_eps * scn.k
 
     for t in range(t_max):
-        if float(np.sum(x.d)) < threshold:
+        if float(x.d.sum()) < threshold:
             terminated = t
             break
-        u = policy(t, x)
+        if record is None:
+            u = policy(t, x)
+        else:
+            u, acts = record(t, x)
+            activations.append(acts)
         if not (math.isfinite(u.v) and math.isfinite(u.theta)):
             raise NumericFailure(t, "control")
-        x_next, mask = step(x, u, scn)
-        if not (np.all(np.isfinite(x_next.q)) and np.all(np.isfinite(x_next.d))):
+        x, mask = step(x, u, scn)
+        if not (np.isfinite(x.q).all() and np.isfinite(x.d).all()):
             raise NumericFailure(t, "state")
-        states.append(x_next)
-        controls.append(u)
+        positions.append(x.q)
+        backlogs.append(x.d)
+        controls.append((u.v, u.theta))
         active_masks.append(mask)
-        stage_costs.append(stage_cost(x_next, scn))
-        for i in range(scn.k):
-            if completion[i] is None and x_next.d[i] == 0.0:
-                completion[i] = t + 1
-        x = x_next
     else:
-        if float(np.sum(x.d)) < threshold:
+        if float(x.d.sum()) < threshold:
             terminated = t_max
 
+    if record is not None:
+        # stack one layer at a time, so each layer's per-step rows are freed
+        # before the next layer's array is allocated
+        activations = list(zip(*activations))
+        for i, rows in enumerate(activations):
+            activations[i] = np.array(rows)
+    positions = np.array(positions)
+    backlogs = np.array(backlogs)
+    # a drained backlog stays at zero, so a user completes at its first zero row
+    drained = backlogs == 0.0
+    first_zero = np.argmax(drained, axis=0).tolist()
     return TrajectoryRecord(
-        states=states,
-        controls=controls,
-        stage_costs=stage_costs,
-        active_masks=active_masks,
-        completion_step=completion,
+        positions=positions,
+        backlogs=backlogs,
+        controls=np.array(controls, dtype=np.float64).reshape(-1, 2),
+        active_masks=np.array(active_masks, dtype=np.float64).reshape(-1, scn.k),
+        stage_costs=stage_costs(positions[1:], backlogs[1:], scn),
+        completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
         terminated_step=terminated,
+        activations=None if record is None else activations,
+        params=None if record is None else policy.params,
     )
 
 

@@ -49,7 +49,7 @@ def objective_value(
 ) -> float:
     """The scalar the trainer descends, evaluated by a fresh rollout."""
     traj = rollout(PolicyController(params, scn), scn, t_max, stop_eps)
-    return float(sum(traj.stage_costs)) + beta * smoothness_penalty(traj.controls_array(), alpha)
+    return traj.task_cost() + beta * smoothness_penalty(traj.controls, alpha)
 
 
 def fd_param_gradient(
@@ -82,12 +82,11 @@ def clamp_margin(traj: TrajectoryRecord, scn: Scenario) -> float:
 
     flip of the backlog clamp.
     """
-    margin = np.inf
-    for t in range(traj.steps):
-        x = traj.states[t]
-        gap = np.abs(x.d - rates(x.q, scn) * scn.tau)
-        margin = min(margin, float(np.min(gap)))
-    return margin
+    t_len = traj.steps
+    if t_len == 0:
+        return np.inf
+    gap = np.abs(traj.backlogs[:t_len] - rates(traj.positions[:t_len], scn) * scn.tau)
+    return float(np.min(gap))
 
 
 def min_positive_backlog(traj: TrajectoryRecord) -> float:
@@ -95,12 +94,8 @@ def min_positive_backlog(traj: TrajectoryRecord) -> float:
 
     threshold against probe-induced flips.
     """
-    lo = np.inf
-    for x in traj.states:
-        pos = x.d[x.d > 0.0]
-        if pos.size:
-            lo = min(lo, float(np.min(pos)))
-    return lo
+    pos = traj.backlogs[traj.backlogs > 0.0]
+    return float(np.min(pos)) if pos.size else np.inf
 
 
 @dataclass

@@ -84,18 +84,26 @@ def init_params(seed: int, k: int, hidden: tuple = (64, 64, 32), v_max: float = 
     return PolicyParams(flat=np.concatenate(chunks), spec=spec, v_max=v_max, seed=seed)
 
 
-def unpack(params: PolicyParams) -> list:
-    """Split the flat vector into [(W, b), ...] views, one per layer."""
-    dims = params.spec.dims
+def layer_views(flat: np.ndarray, spec: LayerSpec) -> list:
+    """Split an array in the flat parameter layout along its last axis
+
+    into [(W, b), ...] views, one per layer; leading axes carry over.
+    """
+    lead = flat.shape[:-1]
     layers = []
     off = 0
-    for din, dout in zip(dims[:-1], dims[1:]):
-        w = params.flat[off : off + din * dout].reshape(dout, din)
+    for din, dout in zip(spec.dims[:-1], spec.dims[1:]):
+        w = flat[..., off : off + din * dout].reshape(*lead, dout, din)
         off += din * dout
-        b = params.flat[off : off + dout]
+        b = flat[..., off : off + dout]
         off += dout
         layers.append((w, b))
     return layers
+
+
+def unpack(params: PolicyParams) -> list:
+    """Split the flat vector into [(W, b), ...] views, one per layer."""
+    return layer_views(params.flat, params.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +120,7 @@ def observe(x: State, scn: Scenario) -> np.ndarray:
     """
     s = 2.0 / scn.area_side
     rel = (scn.user_positions - x.q) * s
-    safe = np.where(scn.demands > 0.0, scn.demands, 1.0)
-    frac = np.where(scn.demands > 0.0, x.d / safe, 0.0)
+    frac = np.divide(x.d, scn.demands, out=np.zeros(scn.k), where=scn.demands > 0.0)
     return np.concatenate([x.q * s, rel.ravel(), frac])
 
 
@@ -142,27 +149,71 @@ def _sigmoid(z: float) -> float:
     return 0.5 * (1.0 + math.tanh(0.5 * z))
 
 
-def _forward_core(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, list]:
-    """Raw two-element head output and the per-layer activations."""
+def _check_obs(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64).reshape(-1)
     if obs.size != params.spec.input_dim:
         raise ScenarioError(
             f"observation has {obs.size} entries, policy wants {params.spec.input_dim}"
         )
-    layers = unpack(params)
+    return obs
+
+
+def _activations(layers: list, obs: np.ndarray) -> list:
+    """One forward pass: [obs, each hidden activation, raw head output]."""
     acts = [obs]
     a = obs
     for w, b in layers[:-1]:
         a = np.tanh(w @ a + b)
         acts.append(a)
     w, b = layers[-1]
-    return w @ a + b, acts
+    acts.append(w @ a + b)
+    return acts
+
+
+def _control(z: np.ndarray, v_max: float) -> Control:
+    return Control(v_max * _sigmoid(float(z[0])), float(z[1]))
 
 
 def forward(params: PolicyParams, obs: np.ndarray) -> Control:
     """Evaluate the control law: v = v_max * sigmoid(z0), theta = z1."""
-    z, _ = _forward_core(params, obs)
-    return Control(params.v_max * _sigmoid(float(z[0])), float(z[1]))
+    return _control(_activations(unpack(params), _check_obs(params, obs))[-1], params.v_max)
+
+
+def head_cotangent(upstream: np.ndarray, z0: float, v_max: float) -> np.ndarray:
+    """Pull a cotangent on (v, theta) back to the raw head output (z0, z1)."""
+    sig = _sigmoid(z0)
+    return np.array([upstream[0] * v_max * sig * (1.0 - sig), upstream[1]])
+
+
+def backprop(layers: list, slopes: list, delta: np.ndarray) -> tuple[list, np.ndarray]:
+    """Pull the cotangent delta of the raw head output back through one
+
+    forward pass. slopes[i] is the tanh derivative 1 - a**2 of hidden
+    layer i's activation a. Returns the cotangent of every layer's output
+    (layer 0 first, the head last) and the observation gradient.
+    """
+    cotangents = [delta]
+    for idx in range(len(layers) - 1, 0, -1):
+        delta = (layers[idx][0].T @ delta) * slopes[idx - 1]
+        cotangents.append(delta)
+    cotangents.reverse()
+    return cotangents, layers[0][0].T @ delta
+
+
+def add_param_grads(grad: np.ndarray, spec: LayerSpec, cotangents: list, inputs: list) -> None:
+    """Add the parameter gradient of each of n steps into the flat vector
+
+    grad, one step after another in row order. cotangents[i] (n, out) and
+    inputs[i] (n, in) hold layer i's output cotangent and its input per
+    step; a step's gradient is, layer by layer, their outer product then
+    the cotangent.
+    """
+    rows = np.empty((cotangents[0].shape[0], grad.size))
+    for (w, b), cot, inp in zip(layer_views(rows, spec), cotangents, inputs):
+        np.einsum("ti,tj->tij", cot, inp, out=w)
+        b[...] = cot
+    for row in rows:
+        grad += row
 
 
 def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,28 +223,21 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
     the flat parameter vector. A single backward pass serves both outputs.
     """
     upstream = np.asarray(upstream, dtype=np.float64).reshape(2)
-    z, acts = _forward_core(params, obs)
-    sig = _sigmoid(float(z[0]))
-    delta = np.array([upstream[0] * params.v_max * sig * (1.0 - sig), upstream[1]])
-
     layers = unpack(params)
-    w_grads: list = [None] * len(layers)
-    b_grads: list = [None] * len(layers)
-    for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        w_grads[idx] = np.outer(delta, acts[idx])
-        b_grads[idx] = delta
-        g_prev = w.T @ delta
-        if idx > 0:
-            delta = g_prev * (1.0 - acts[idx] ** 2)
-        else:
-            obs_grad = g_prev
-    flat = np.concatenate([np.concatenate([wg.ravel(), bg]) for wg, bg in zip(w_grads, b_grads)])
+    acts = _activations(layers, _check_obs(params, obs))
+    delta = head_cotangent(upstream, float(acts[-1][0]), params.v_max)
+    cotangents, obs_grad = backprop(layers, [1.0 - a**2 for a in acts[1:-1]], delta)
+    flat = np.zeros(params.flat.size)
+    add_param_grads(flat, params.spec, [c[None] for c in cotangents], [a[None] for a in acts[:-1]])
     return flat, obs_grad
 
 
 class PolicyController:
-    """Adapter giving the rollout loop a (t, state) -> Control callable."""
+    """Adapter giving the rollout loop a (t, state) -> Control callable.
+
+    The layers are unpacked once, here; record also hands the rollout
+    the forward pass's activations for the tape.
+    """
 
     def __init__(self, params: PolicyParams, scn: Scenario):
         if params.spec.k != scn.k:
@@ -206,9 +250,15 @@ class PolicyController:
             )
         self.params = params
         self.scn = scn
+        self.layers = unpack(params)
+
+    def record(self, t: int, x: State) -> tuple[Control, list]:
+        """The control at state x and its forward pass: [obs, hidden..., head]."""
+        acts = _activations(self.layers, observe(x, self.scn))
+        return _control(acts[-1], self.params.v_max), acts
 
     def __call__(self, t: int, x: State) -> Control:
-        return forward(self.params, observe(x, self.scn))
+        return self.record(t, x)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,9 @@ class IterationRecord:
     grad_norm_pre: float
     grad_norm_post: float
     ms: float
+    rollout_ms: float
+    backward_ms: float
+    opt_ms: float
 
 
 @dataclass
@@ -157,7 +160,9 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
                 log.converged = True
                 log.stop_reason = "mission_complete_at_start"
                 return params, log
+            t1 = time.perf_counter()
             bundle = backward_closedloop(traj, params, scn, beta=cfg.beta, alpha=cfg.alpha)
+            t2 = time.perf_counter()
             pre = float(np.linalg.norm(bundle.param_grad))
             clipped = clip_gradient(bundle.param_grad, cfg.clip_threshold)
             post = float(np.linalg.norm(clipped))
@@ -165,9 +170,15 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
         except NumericFailure as exc:
             exc.log = log  # partial log for diagnostics
             raise
-        ms = (time.perf_counter() - t0) * 1e3
+        t3 = time.perf_counter()
         log.rows.append(
-            IterationRecord(it, bundle.j_task, bundle.j_smooth, bundle.j_total, pre, post, ms)
+            IterationRecord(
+                it, bundle.j_task, bundle.j_smooth, bundle.j_total, pre, post,
+                ms=(t3 - t0) * 1e3,
+                rollout_ms=(t1 - t0) * 1e3,
+                backward_ms=(t2 - t1) * 1e3,
+                opt_ms=(t3 - t2) * 1e3,
+            )
         )
         params = replace(params, flat=new_flat)
         if prev_j is not None and abs(bundle.j_total - prev_j) < cfg.early_stop_delta:

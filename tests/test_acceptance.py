@@ -25,25 +25,23 @@ from aavtraj import (
     TrainConfig,
     backward_closedloop,
     backward_openloop,
-    clip_gradient,
     derive_seed,
     evaluate_policy,
-    forward,
     ga_optimize,
     generate_scenario,
-    hamiltonian,
     init_params,
-    observe,
     rollout,
     run_gradcheck,
     run_sweep,
-    smoothness_penalty,
     train,
-    wrap_angle,
 )
+from aavtraj.adjoint import hamiltonian
 from aavtraj.env import State
 from aavtraj.gradcheck import noise_floor, relative_error
+from aavtraj.policy import forward, observe
+from aavtraj.smoothing import smoothness_penalty, wrap_angle
 from aavtraj.sweep import TIMING_COLUMNS, aggregate, save_aggregate_csv, save_detail_csv
+from aavtraj.trainer import clip_gradient
 
 
 def verdict(n: int, ok: bool, detail: str) -> bool:
@@ -151,7 +149,7 @@ def _log_signature():
     params, log = train(scn, TrainConfig(seed=41, max_iters=25, early_stop_delta=0.0))
     rows = tuple(
         (r.iteration, r.j_task, r.j_smooth, r.j_total, r.grad_norm_pre, r.grad_norm_post)
-        for r in log.rows  # everything except the wall-clock ms column
+        for r in log.rows  # everything except the wall-clock columns
     )
     return (params.flat.tobytes(), rows, log.converged, log.stop_reason, log.seed)
 

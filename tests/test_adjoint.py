@@ -3,31 +3,39 @@
 Every analytic quantity is checked against test-local finite differences
 of independent re-rollouts. Instances keep backlogs far from the clamp
 kink and never terminate inside the horizon, so FD probes see a smooth
-objective.
+objective. The closed-loop sweep over the array tape is also checked,
+bit for bit, against a per-step sweep kept here as an oracle.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aavtraj import (
     Control,
+    NumericFailure,
     Scenario,
+    ScenarioError,
     State,
     TrajectoryRecord,
     backward_closedloop,
     backward_openloop,
-    hamiltonian,
+    generate_scenario,
     init_params,
-    initial_state,
     rollout,
-    smoothness_penalty,
-    stage_cost,
-    step,
 )
-from aavtraj.adjoint import cost_grad_state, jacobian_control, jacobian_state
+from aavtraj.adjoint import (
+    GradientBundle,
+    cost_grad_state,
+    hamiltonian,
+    jacobian_control,
+    jacobian_state,
+)
 from aavtraj.baselines import SequenceController
-from aavtraj.policy import PolicyController
+from aavtraj.env import initial_state, rate_gradients, stage_cost, step
+from aavtraj.policy import PolicyController, _sigmoid, observation_jacobian, observe, unpack
+from aavtraj.smoothing import smoothness_grads, smoothness_penalty
 
 
 def smooth_scn(k=2, seed=0, dist_weight=0.01):
@@ -49,6 +57,18 @@ def sequence_cost(controls, scn, t_len):
     traj = rollout(SequenceController(controls), scn, t_len, 1e-12)
     assert traj.steps == t_len
     return float(sum(traj.stage_costs))
+
+
+def record_of(scn, states, controls, masks, completion, terminated):
+    """A tape built by hand from lists of State, Control and mask."""
+    return TrajectoryRecord(
+        positions=np.array([x.q for x in states]),
+        backlogs=np.array([x.d for x in states]),
+        controls=np.array([(u.v, u.theta) for u in controls]).reshape(-1, 2),
+        active_masks=np.array(masks).reshape(-1, scn.k),
+        stage_costs=np.array([stage_cost(x, scn) for x in states[1:]]),
+        completion_step=completion, terminated_step=terminated,
+        activations=None, params=None)
 
 
 class TestJacobians:
@@ -162,8 +182,9 @@ class TestOpenLoop:
         traj = rollout(SequenceController(controls), scn, 8, 1e-12)
         costates, grads = backward_openloop(traj, scn)
         h = 1e-6
+        states = traj.states
         for t in (0, 3, 7):
-            x, u = traj.states[t], traj.controls[t]
+            x, u = states[t], Control(*traj.controls[t])
             lam_next = costates[t + 1]
             fd_v = (hamiltonian(x, Control(u.v + h, u.theta), lam_next, scn)
                     - hamiltonian(x, Control(u.v - h, u.theta), lam_next, scn)) / (2 * h)
@@ -181,17 +202,14 @@ class TestOpenLoop:
                        sigma2=1.0, altitude=1.0, bandwidth=None, tau=1.0,
                        v_max=0.2, dist_weight=0.0, seed=0)
         x = initial_state(scn)  # colocated rate is exactly 1
-        states, controls, costs, masks = [x], [], [], []
+        states, controls, masks = [x], [], []
         for t in range(6):
             u = Control(0.1, math.pi / 2)
             x, mask = step(x, u, scn)
             states.append(x)
             controls.append(u)
-            costs.append(stage_cost(x, scn))
             masks.append(mask)
-        traj = TrajectoryRecord(states=states, controls=controls,
-                                stage_costs=costs, active_masks=masks,
-                                completion_step=[3], terminated_step=None)
+        traj = record_of(scn, states, controls, masks, [3], None)
         assert states[2].d[0] > 0.0 and states[3].d[0] == 0.0
         _, grads = backward_openloop(traj, scn)
         assert np.any(grads[0] != 0.0)
@@ -199,9 +217,7 @@ class TestOpenLoop:
 
     def test_empty_trajectory(self):
         scn = smooth_scn(k=2, seed=13)
-        traj = TrajectoryRecord(states=[initial_state(scn)],
-                                controls=[], stage_costs=[], active_masks=[],
-                                completion_step=[None, None], terminated_step=0)
+        traj = record_of(scn, [initial_state(scn)], [], [], [None, None], 0)
         costates, grads = backward_openloop(traj, scn)
         assert grads.shape == (0, 2)
         assert np.array_equal(costates[0], np.zeros(4))
@@ -300,3 +316,206 @@ class TestClosedLoop:
             fd = self.fd_param(params, scn, t_len, 1.0, 1e-3, idx)
             denom = max(abs(fd), abs(bundle.param_grad[idx]), floor)
             assert abs(bundle.param_grad[idx] - fd) / denom <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the tape sweep against the per-step sweep, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def jacobian_state_per_step(x, mask, scn):
+    k = scn.k
+    jac = np.zeros((2 + k, 2 + k))
+    jac[0, 0] = 1.0
+    jac[1, 1] = 1.0
+    jac[2:, :2] = -mask[:, None] * scn.tau * rate_gradients(x.q, scn)
+    jac[2:, 2:] = np.diag(mask)
+    return jac
+
+
+def jacobian_control_per_step(u, scn):
+    jac = np.zeros((2 + scn.k, 2))
+    c, s = np.cos(u.theta), np.sin(u.theta)
+    jac[0, 0] = scn.tau * c
+    jac[1, 0] = scn.tau * s
+    jac[0, 1] = -u.v * scn.tau * s
+    jac[1, 1] = u.v * scn.tau * c
+    return jac
+
+
+def cost_grad_per_step(x, scn):
+    grad = np.zeros(2 + scn.k)
+    grad[2:] = 1.0
+    if scn.dist_weight > 0.0:
+        diff = x.q - scn.user_positions
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        nonzero = dist > 0.0
+        units = np.zeros_like(diff)
+        units[nonzero] = diff[nonzero] / dist[nonzero, None]
+        grad[:2] = scn.dist_weight * np.sum(units, axis=0)
+    return grad
+
+
+def vjp_per_step(params, obs, upstream):
+    """The policy VJP as one self-contained pass: a fresh forward, then the
+
+    reverse pass, the parameter gradient laid out like the flat vector."""
+    layers = unpack(params)
+    acts = [obs]
+    a = obs
+    for w, b in layers[:-1]:
+        a = np.tanh(w @ a + b)
+        acts.append(a)
+    w, b = layers[-1]
+    z = w @ a + b
+    sig = _sigmoid(float(z[0]))
+    delta = np.array([upstream[0] * params.v_max * sig * (1.0 - sig), upstream[1]])
+    w_grads = [None] * len(layers)
+    b_grads = [None] * len(layers)
+    for idx in range(len(layers) - 1, -1, -1):
+        w_grads[idx] = np.outer(delta, acts[idx])
+        b_grads[idx] = delta
+        g_prev = layers[idx][0].T @ delta
+        if idx > 0:
+            delta = g_prev * (1.0 - acts[idx] ** 2)
+        else:
+            obs_grad = g_prev
+    flat = np.concatenate([np.concatenate([wg.ravel(), bg]) for wg, bg in zip(w_grads, b_grads)])
+    return flat, obs_grad
+
+
+def closedloop_per_step(traj, params, scn, beta, alpha):
+    """The closed-loop sweep one step at a time: the observation, the dense
+
+    Jacobians and the cost gradient rebuilt at every step by the per-step
+    builders above, and the policy VJP re-running the forward pass."""
+    t_len = traj.steps
+    controls = traj.controls_array()
+    j_task = float(sum(traj.stage_costs.tolist()))
+    j_smooth = smoothness_penalty(controls, alpha)
+    j_total = j_task + beta * j_smooth
+    if t_len == 0:
+        return GradientBundle(np.zeros((0, 2)), np.zeros(params.flat.size), j_task, j_smooth, j_total)
+    states = traj.states
+    s_grads = smoothness_grads(controls, alpha) if beta != 0.0 else np.zeros((t_len, 2))
+    obs_jac = observation_jacobian(scn)
+    param_grad = np.zeros(params.flat.size)
+    action_grads = np.zeros((t_len, 2))
+    lam = cost_grad_per_step(states[t_len], scn)
+    for t in range(t_len - 1, -1, -1):
+        x = states[t]
+        u = Control(*controls[t].tolist())
+        g_u = jacobian_control_per_step(u, scn).T @ lam + beta * s_grads[t]
+        action_grads[t] = g_u
+        p_grad, o_grad = vjp_per_step(params, observe(x, scn), g_u)
+        param_grad += p_grad
+        lam = jacobian_state_per_step(x, traj.active_masks[t], scn).T @ lam + obs_jac.T @ o_grad
+        if t >= 1:
+            lam = lam + cost_grad_per_step(x, scn)
+    return GradientBundle(action_grads, param_grad, j_task, j_smooth, j_total)
+
+
+def assert_bitwise(got, want):
+    assert got.action_grads.tobytes() == want.action_grads.tobytes()
+    assert got.param_grad.tobytes() == want.param_grad.tobytes()
+    assert (got.j_task, got.j_smooth, got.j_total) == (want.j_task, want.j_smooth, want.j_total)
+
+
+def policy_tape(scn, params, t_max):
+    return rollout(PolicyController(params, scn), scn, t_max, 1e-3)
+
+
+class TestTapeSweep:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("preset", ["default", "long"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 10])
+    def test_matches_per_step_sweep(self, k, preset, beta):
+        demands = {"default": (0.5, 1.0), "long": (20.0, 40.0)}[preset]
+        scn = generate_scenario(k, k=k, demand_lo=demands[0], demand_hi=demands[1])
+        params = init_params(100 + k, k=k, hidden=(16, 12, 8))
+        traj = policy_tape(scn, params, 150)
+        assert traj.steps >= 1
+        want = closedloop_per_step(traj, params, scn, beta, 1e-3)
+        assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want)
+
+    def test_default_width_long_mission(self):
+        scn = generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
+        params = init_params(7, k=4)
+        traj = policy_tape(scn, params, 120)
+        want = closedloop_per_step(traj, params, scn, 1.0, 1e-3)
+        assert_bitwise(backward_closedloop(traj, params, scn, beta=1.0, alpha=1e-3), want)
+
+    def test_zero_demand_user_and_clamps_mid_mission(self):
+        # users drain one after another, one has nothing to send at all
+        scn = Scenario(user_positions=np.array([[0.5, 0.0], [-1.0, 1.0], [2.0, -2.0], [0.0, 3.0]]),
+                       demands=np.array([0.8, 0.0, 4.0, 15.0]), area_side=10.0, seed=0)
+        params = init_params(5, k=4, hidden=(16, 8))
+        traj = policy_tape(scn, params, 60)
+        masks = traj.active_masks
+        assert masks[0, 1] == 0.0
+        clamped_mid = (masks[:-1] == 1.0) & (masks[1:] == 0.0)
+        assert clamped_mid.any(axis=0).sum() >= 2
+        for beta in (0.0, 1.0):
+            want = closedloop_per_step(traj, params, scn, beta, 1e-3)
+            assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want)
+
+    def test_empty_tape(self):
+        scn = generate_scenario(0, k=3, demand_lo=0.0, demand_hi=0.0)
+        params = init_params(0, k=3, hidden=(8,))
+        traj = policy_tape(scn, params, 20)
+        assert traj.steps == 0
+        got = backward_closedloop(traj, params, scn, beta=1.0, alpha=1e-3)
+        assert got.action_grads.shape == (0, 2)
+        assert_bitwise(got, closedloop_per_step(traj, params, scn, 1.0, 1e-3))
+
+    def test_single_step_tape(self):
+        scn = generate_scenario(3, k=2)
+        params = init_params(3, k=2, hidden=(8, 4))
+        traj = policy_tape(scn, params, 1)
+        assert traj.steps == 1
+        for beta in (0.0, 1.0):
+            want = closedloop_per_step(traj, params, scn, beta, 1e-3)
+            assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want)
+
+    def test_openloop_matches_per_step_sweep(self):
+        scn = Scenario(user_positions=np.array([[0.5, 0.0], [-1.0, 1.0], [2.0, -2.0]]),
+                       demands=np.array([0.8, 0.0, 4.0]), area_side=10.0, seed=0)
+        traj = rollout(SequenceController(random_controls(np.random.default_rng(33), 30)), scn, 30, 1e-3)
+        states = traj.states
+        lam = cost_grad_per_step(states[-1], scn)
+        want_costates, want_grads = [lam], np.zeros((traj.steps, 2))
+        for t in range(traj.steps - 1, -1, -1):
+            u = Control(*traj.controls[t].tolist())
+            want_grads[t] = jacobian_control_per_step(u, scn).T @ lam
+            lam = jacobian_state_per_step(states[t], traj.active_masks[t], scn).T @ lam
+            if t >= 1:
+                lam = lam + cost_grad_per_step(states[t], scn)
+            want_costates.append(lam)
+        costates, grads = backward_openloop(traj, scn)
+        assert grads.tobytes() == want_grads.tobytes()
+        assert np.array(costates).tobytes() == np.array(want_costates[::-1]).tobytes()
+
+    def test_tape_without_activations_raises(self):
+        scn = smooth_scn(k=2, seed=30)
+        params = init_params(30, k=2, hidden=(8,))
+        traj = rollout(SequenceController(random_controls(np.random.default_rng(30), 5)), scn, 5, 1e-12)
+        assert traj.activations is None
+        with pytest.raises(ScenarioError, match="no policy activations"):
+            backward_closedloop(traj, params, scn)
+
+    def test_tape_of_other_params_raises(self):
+        scn = smooth_scn(k=2, seed=31)
+        params = init_params(31, k=2, hidden=(8,))
+        traj = policy_tape(scn, params, 5)
+        same_values = replace(params, flat=params.flat.copy())
+        with pytest.raises(ScenarioError, match="different params"):
+            backward_closedloop(traj, same_values, scn)
+
+    def test_nonfinite_costate_raises_at_its_step(self):
+        scn = smooth_scn(k=2, seed=32)
+        params = init_params(32, k=2, hidden=(8,))
+        traj = policy_tape(scn, params, 6)
+        traj.positions[3, 0] = np.inf  # the pullback at step 3 sees it first
+        with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+            backward_closedloop(traj, params, scn)
+        assert (exc.value.step, exc.value.where) == (3, "backward")

@@ -1,4 +1,5 @@
 """Greedy rule, genetic search, and the shared mission evaluator."""
+import itertools
 import math
 
 import numpy as np
@@ -8,19 +9,20 @@ from aavtraj import (
     GaConfig,
     GreedyConfig,
     GreedyController,
+    PolicyController,
     Scenario,
     ScenarioError,
     State,
     evaluate_policy,
     ga_optimize,
     generate_scenario,
-    greedy_action,
+    init_params,
     mission_metrics,
     rollout,
-    wrap_angle,
 )
-from aavtraj.baselines import ConstantController, SequenceController
+from aavtraj.baselines import ConstantController, SequenceController, greedy_action
 from aavtraj.env import rates
+from aavtraj.smoothing import wrap_angle
 
 
 def scn_with(users, demands, **kw):
@@ -225,6 +227,23 @@ class TestMissionMetrics:
         assert m.mission_steps == (max(ref_steps) if completed else t_max)
         assert m.avg_rate == pytest.approx(
             sum(rate_samples) / len(rate_samples), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_avg_rate_equals_per_step_means_bitwise(self, k):
+        # one rates call per state, as the mean of the per-step means; with
+        # eight or more active users the order of a row's sum shows
+        for seed, (lo, hi) in itertools.product(range(6), ((0.5, 1.0), (20.0, 40.0))):
+            scn = generate_scenario(seed, k=k, demand_lo=lo, demand_hi=hi)
+            params = init_params(seed, k=k, hidden=(8,))
+            for source in (GreedyController(scn), PolicyController(params, scn)):
+                traj = rollout(source, scn, 120, 1e-3)
+                means = []
+                for x in traj.states[:-1]:
+                    active = x.d > 0.0
+                    if np.any(active):
+                        means.append(float(np.mean(rates(x.q, scn)[active])))
+                want = float(np.mean(means)) if means else 0.0
+                assert mission_metrics(traj, scn, 120).avg_rate == want
 
     def test_identical_record_identical_metrics(self):
         scn = generate_scenario(7, k=2)

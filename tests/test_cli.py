@@ -15,7 +15,7 @@ from aavtraj.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 # column lists as the README documents them
 TRAINING_LOG_HEADER = ["iteration", "j_task", "j_smooth", "j_total", "grad_norm_pre",
-                       "grad_norm_post", "ms"]
+                       "grad_norm_post", "ms", "rollout_ms", "backward_ms", "opt_ms"]
 METRICS_HEADER = ["mean_completion_steps", "mission_steps", "avg_rate", "completed",
                   "completion_steps"]
 GRADCHECK_HEADER = ["param_index", "analytic", "finite_diff", "rel_err"]

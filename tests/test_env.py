@@ -17,10 +17,15 @@ from aavtraj import (
     ScenarioError,
     State,
     generate_scenario,
-    initial_state,
     load_scenario,
     rollout,
     save_scenario,
+)
+from aavtraj.env import (
+    initial_state,
+    rate,
+    rate_gradients,
+    rates,
     scenario_from_dict,
     scenario_to_dict,
     stage_cost,
@@ -28,7 +33,6 @@ from aavtraj import (
     step_kinematics,
     step_tasks,
 )
-from aavtraj.env import rate, rate_gradients, rates
 
 
 def unit_scn(users, demands, **kw):
@@ -273,6 +277,21 @@ class TestRollout:
         for i in range(t):
             assert traj.stage_costs[i] == stage_cost(traj.states[i + 1], scn)
 
+    def test_tape_arrays(self):
+        scn = default_scn([[2, 1], [-1, 3]], [1.0, 0.8])
+        traj = rollout(self.hover(), scn, 10, 1e-3)
+        t = traj.steps
+        assert traj.positions.shape == (t + 1, 2)
+        assert traj.backlogs.shape == (t + 1, 2)
+        assert traj.controls.shape == (t, 2)
+        assert traj.active_masks.shape == (t, 2)
+        assert traj.stage_costs.shape == (t,)
+        assert traj.activations is None and traj.params is None
+        assert np.array_equal(traj.controls_array(), traj.controls)
+        assert traj.task_cost() == sum(float(c) for c in traj.stage_costs)
+        for x, q, d in zip(traj.states, traj.positions, traj.backlogs):
+            assert np.array_equal(x.q, q) and np.array_equal(x.d, d)
+
     def test_completion_steps_recorded(self):
         # colocated unit rate 1.0 and demands 0.5/1.5 drain in 1 and 2 slots
         scn = unit_scn([[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
@@ -307,7 +326,7 @@ class TestRollout:
         b = rollout(self.hover(), scn, 10, 1e-3)
         assert all(np.array_equal(x.as_vector(), y.as_vector())
                    for x, y in zip(a.states, b.states))
-        assert a.stage_costs == b.stage_costs
+        assert np.array_equal(a.stage_costs, b.stage_costs)
 
 
 class TestScenario:

@@ -4,10 +4,11 @@ import csv
 import numpy as np
 import pytest
 
-from aavtraj import make_instance, run_gradcheck, save_gradcheck_report
+from aavtraj import run_gradcheck, save_gradcheck_report
 from aavtraj.gradcheck import (
     clamp_margin,
     fd_param_gradient,
+    make_instance,
     min_positive_backlog,
     noise_floor,
     objective_value,

@@ -7,20 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aavtraj import (
-    LayerSpec,
     PolicyController,
     ScenarioError,
     State,
-    forward,
     generate_scenario,
     init_params,
     load_checkpoint,
-    observation_jacobian,
-    observe,
+    rollout,
     save_checkpoint,
-    vjp,
 )
-from aavtraj.policy import unpack
+from aavtraj.policy import LayerSpec, forward, observation_jacobian, observe, unpack, vjp
 
 
 class TestLayout:
@@ -200,3 +196,17 @@ class TestController:
         u = ctl(0, x)
         ref = forward(params, observe(x, scn))
         assert u.v == ref.v and u.theta == ref.theta
+
+    def test_rollout_tape_keeps_activations(self):
+        scn = generate_scenario(2, k=3, demand_lo=5.0, demand_hi=6.0)
+        params = init_params(2, k=3, hidden=(6, 5))
+        traj = rollout(PolicyController(params, scn), scn, 8, 1e-3)
+        assert traj.params is params
+        assert [a.shape for a in traj.activations] == [(8, 11), (8, 6), (8, 5), (8, 2)]
+        for t, x in enumerate(traj.states[:-1]):
+            obs = observe(x, scn)
+            assert np.array_equal(traj.activations[0][t], obs)
+            u = forward(params, obs)
+            assert (u.v, u.theta) == tuple(traj.controls[t])
+            z1 = traj.activations[-1][t, 1]
+            assert z1 == u.theta

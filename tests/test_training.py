@@ -12,17 +12,12 @@ from aavtraj import (
     ScenarioError,
     TrainConfig,
     TrainingError,
-    clip_gradient,
     generate_scenario,
-    init_opt_state,
-    optimizer_step,
     save_training_log,
-    smoothness_grads,
-    smoothness_penalty,
     train,
-    wrap_angle,
 )
-from aavtraj.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from aavtraj.smoothing import smoothness_grads, smoothness_penalty, wrap_angle
+from aavtraj.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, clip_gradient, init_opt_state, optimizer_step
 from aavtraj import trainer as trainer_mod
 
 
@@ -249,6 +244,14 @@ class TestTrainLoop:
             assert r.grad_norm_post <= cfg.clip_threshold * (1 + 1e-12)
             assert r.grad_norm_post <= r.grad_norm_pre * (1 + 1e-12)
 
+    def test_phase_times_split_the_iteration_time(self):
+        scn = generate_scenario(4, k=2)
+        _, log = train(scn, TrainConfig(seed=4, max_iters=4, early_stop_delta=0.0, hidden=(8,)))
+        for r in log.rows:
+            phases = (r.rollout_ms, r.backward_ms, r.opt_ms)
+            assert all(p >= 0.0 for p in phases)
+            assert sum(phases) == pytest.approx(r.ms, rel=1e-9, abs=1e-9)
+
     def test_retry_halves_lr_then_fails(self, monkeypatch):
         calls = []
 
@@ -277,7 +280,8 @@ class TestTrainLoop:
             rows = list(csv.DictReader(fh))
         # the column list of the training log in the README
         assert list(rows[0]) == [
-            "iteration", "j_task", "j_smooth", "j_total", "grad_norm_pre", "grad_norm_post", "ms"]
+            "iteration", "j_task", "j_smooth", "j_total", "grad_norm_pre", "grad_norm_post", "ms",
+            "rollout_ms", "backward_ms", "opt_ms"]
         assert len(rows) == 5
         for parsed, orig in zip(rows, log.rows):
             assert int(parsed["iteration"]) == orig.iteration
