@@ -27,10 +27,12 @@ from .env import (
 )
 from .policy import (
     PolicyParams,
+    activations,
     add_param_grads,
     backprop,
     head_cotangent,
     observation_jacobian,
+    observations,
     observe,
     unpack,
     vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
@@ -183,19 +185,16 @@ def backward_closedloop(
 ) -> GradientBundle:
     """Reverse sweep of the full training objective through the policy.
 
-    The tape must come from rolling out this same params object through
-    a PolicyController, which records the activations the sweep pulls
-    back through; the per-step Jacobians are built for the whole tape
-    before the sweep. Unlike the open-loop sweep, the costate here also
-    flows backwards through the control law (observation Jacobian
-    composed with the policy VJP), and the smoothness partials enter
-    each action gradient directly.
+    The policy's forward pass is recomputed from the tape's states in one
+    batched pass, and the headings it gives must be the tape's bit for
+    bit, so the tape must come from rolling out these parameter values;
+    the per-step Jacobians are built for the whole tape before the sweep.
+    Unlike the open-loop sweep, the costate here also flows backwards
+    through the control law (observation Jacobian composed with the
+    policy VJP), and the smoothness partials enter each action gradient
+    directly.
     """
     t_len = _check_record(traj)
-    if traj.activations is None:
-        raise ScenarioError("trajectory record holds no policy activations")
-    if traj.params is not params:
-        raise ScenarioError("trajectory record was rolled out with a different params object")
     p = params.flat.size
     controls = traj.controls
     j_task = traj.task_cost()
@@ -204,14 +203,16 @@ def backward_closedloop(
     if t_len == 0:
         return GradientBundle(np.zeros((0, 2)), np.zeros(p), j_task, j_smooth, j_total)
 
+    layers = unpack(params)
+    acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+    if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
+        raise ScenarioError("trajectory record was rolled out with different params")
+    heads = acts[-1][:, 0].tolist()
     s_grads = smoothness_grads(controls, alpha) if beta != 0.0 else np.zeros((t_len, 2))
     obs_jac = observation_jacobian(scn)
     b_mats = control_jacobians(controls, scn)
     a_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
     cost_grads = cost_gradients(traj.positions, scn)
-    inputs = traj.activations[:-1]
-    heads = traj.activations[-1][:, 0].tolist()
-    layers = unpack(params)
     param_grad = np.zeros(p)
     action_grads = np.zeros((t_len, 2))
 
@@ -221,7 +222,7 @@ def backward_closedloop(
     # order (t = T-1 first), so only one block of them is held at a time.
     for hi in range(t_len, 0, -SWEEP_BLOCK):
         lo = max(hi - SWEEP_BLOCK, 0)
-        slopes = [1.0 - a[lo:hi] ** 2 for a in inputs[1:]]
+        slopes = [1.0 - a[lo:hi] ** 2 for a in acts[1:-1]]  # per block: no second tape-sized copy
         cotangents = []
         for t in range(hi - 1, lo - 1, -1):
             g_u = b_mats[t].T @ lam + beta * s_grads[t]
@@ -238,7 +239,7 @@ def backward_closedloop(
             param_grad,
             params.spec,
             [np.array(rows) for rows in zip(*cotangents)],
-            [a[lo:hi][::-1] for a in inputs],
+            [a[lo:hi][::-1] for a in acts[:-1]],
         )
 
     if not np.all(np.isfinite(param_grad)):

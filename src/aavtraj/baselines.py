@@ -131,6 +131,10 @@ class GaConfig:
             raise ScenarioError("elitism must be in [0, population)")
         if self.chromosome_length < 1:
             raise ScenarioError("chromosome_length must be >= 1")
+        if not 0.0 <= self.crossover_rate <= 1.0:
+            raise ScenarioError(f"crossover_rate must be in [0, 1], got {self.crossover_rate!r}")
+        if len(self.mutation_std) != 2 or not all(0.0 <= s < math.inf for s in self.mutation_std):
+            raise ScenarioError(f"mutation_std must be two finite numbers >= 0, got {self.mutation_std!r}")
 
 
 def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:

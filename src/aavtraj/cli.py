@@ -77,6 +77,10 @@ def _scenario_from_config(data: dict) -> Scenario:
     extra = set(data) - known
     if extra:
         raise UsageError(f"unknown scenario fields: {sorted(extra)}")
+    for name, value in data.items():
+        number = isinstance(value, int if name in ("seed", "k") else (int, float))
+        if not (number or (name == "bandwidth" and value is None)):
+            raise UsageError(f"scenario field {name!r} has bad value {value!r}")
     return generate_scenario(**{**{"seed": 0}, **data})
 
 

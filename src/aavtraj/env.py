@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,12 +127,7 @@ class TrajectoryRecord:
     positions (T+1, 2) and backlogs (T+1, K) are the visited states,
     controls (T, 2) the (v, theta) rows, active_masks (T, K) records
     which backlogs were still draining (clamp not hit) on step t, and
-    stage_costs (T,) holds the cost of state t+1. When the control source
-    records its forward pass (PolicyController does), activations is one
-    (T, width) array per layer of it -- the observation, each hidden
-    layer, then the raw head output; an empty list when no step ran --
-    and params is the parameters object that produced them; otherwise
-    both are None.
+    stage_costs (T,) holds the cost of state t+1.
     """
 
     positions: np.ndarray
@@ -141,8 +137,6 @@ class TrajectoryRecord:
     stage_costs: np.ndarray
     completion_step: list
     terminated_step: Optional[int]
-    activations: Optional[list]
-    params: object
 
     @property
     def steps(self) -> int:
@@ -264,10 +258,7 @@ def rollout(
 ) -> TrajectoryRecord:
     """Unroll the closed loop until the residual backlog is negligible.
 
-    policy is any callable (t, state) -> Control. A source that also has
-    a record(t, state) -> (Control, activations) method and a params
-    attribute, as PolicyController does, is called through record, and
-    the tape keeps its activations and params. Termination is checked
+    policy is any callable (t, state) -> Control. Termination is checked
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
     after t_max steps.
     """
@@ -276,13 +267,11 @@ def rollout(
     if stop_eps <= 0:
         raise ScenarioError("stop_eps must be > 0")
 
-    record = getattr(policy, "record", None)
     x = initial_state(scn)
     positions = [x.q]
     backlogs = [x.d]
     controls: list = []
     active_masks: list = []
-    activations: list = []
     terminated: Optional[int] = None
     threshold = stop_eps * scn.k
 
@@ -290,11 +279,7 @@ def rollout(
         if float(x.d.sum()) < threshold:
             terminated = t
             break
-        if record is None:
-            u = policy(t, x)
-        else:
-            u, acts = record(t, x)
-            activations.append(acts)
+        u = policy(t, x)
         if not (math.isfinite(u.v) and math.isfinite(u.theta)):
             raise NumericFailure(t, "control")
         x, mask = step(x, u, scn)
@@ -308,12 +293,6 @@ def rollout(
         if float(x.d.sum()) < threshold:
             terminated = t_max
 
-    if record is not None:
-        # stack one layer at a time, so each layer's per-step rows are freed
-        # before the next layer's array is allocated
-        activations = list(zip(*activations))
-        for i, rows in enumerate(activations):
-            activations[i] = np.array(rows)
     positions = np.array(positions)
     backlogs = np.array(backlogs)
     # a drained backlog stays at zero, so a user completes at its first zero row
@@ -327,8 +306,6 @@ def rollout(
         stage_costs=stage_costs(positions[1:], backlogs[1:], scn),
         completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
         terminated_step=terminated,
-        activations=None if record is None else activations,
-        params=None if record is None else policy.params,
     )
 
 
@@ -356,10 +333,12 @@ def generate_scenario(
 
     uniform in [demand_lo, demand_hi]. Deterministic in the seed.
     """
-    if k < 1:
-        raise ScenarioError("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ScenarioError(f"k must be an integer >= 1, got {k!r}")
     if not 0 <= demand_lo <= demand_hi:
         raise ScenarioError("need 0 <= demand_lo <= demand_hi")
+    if not (math.isfinite(area_side) and area_side > 0):
+        raise ScenarioError("area_side must be a positive finite number")
     rng = np.random.default_rng(seed)
     half = area_side / 2.0
     users = rng.uniform(-half, half, size=(k, 2))
@@ -396,22 +375,31 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    try:
-        return Scenario(
-            user_positions=np.asarray(data["users"], dtype=np.float64),
-            demands=np.asarray(data["demands"], dtype=np.float64),
-            area_side=float(data["area_side"]),
-            eta=float(data.get("eta", 1.0)),
-            sigma2=float(data.get("sigma2", 0.1)),
-            altitude=float(data.get("altitude", 1.0)),
-            bandwidth=None if data.get("bandwidth") is None else float(data["bandwidth"]),
-            tau=float(data.get("tau", 1.0)),
-            v_max=float(data.get("v_max", 0.2)),
-            dist_weight=float(data.get("dist_weight", 0.01)),
-            seed=data.get("seed"),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario is missing required field {exc}") from exc
+    """Inverse of scenario_to_dict; a missing or malformed field raises a ScenarioError naming it."""
+
+    def field(name, convert=float, *default):
+        if not default and name not in data:
+            raise ScenarioError(f"scenario is missing required field {name!r}")
+        value = data.get(name, *default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"scenario field {name!r} has bad value {value!r}: {exc}") from None
+
+    array = partial(np.asarray, dtype=np.float64)
+    return Scenario(
+        user_positions=field("users", array),
+        demands=field("demands", array),
+        area_side=field("area_side"),
+        eta=field("eta", float, 1.0),
+        sigma2=field("sigma2", float, 0.1),
+        altitude=field("altitude", float, 1.0),
+        bandwidth=field("bandwidth", lambda v: None if v is None else float(v), None),
+        tau=field("tau", float, 1.0),
+        v_max=field("v_max", float, 0.2),
+        dist_weight=field("dist_weight", float, 0.01),
+        seed=data.get("seed"),
+    )
 
 
 def save_scenario(scn: Scenario, path: str) -> None:

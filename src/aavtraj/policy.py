@@ -111,17 +111,21 @@ def unpack(params: PolicyParams) -> list:
 # ---------------------------------------------------------------------------
 
 
-def observe(x: State, scn: Scenario) -> np.ndarray:
-    """Normalized observation vector of length 2 + 3K.
+def observations(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Normalized observations at positions (..., 2) and backlogs (..., K), as
 
-    Layout: vehicle position scaled by 2/area_side, the K user offsets
-    w_i - q under the same scale, then backlogs normalized by their
-    demands (0 for a zero-demand user).
+    (..., 2 + 3K): the position and the K user offsets w_i - q scaled by
+    2/area_side, then backlogs over their demands (0 for a zero demand).
     """
     s = 2.0 / scn.area_side
-    rel = (scn.user_positions - x.q) * s
-    frac = np.divide(x.d, scn.demands, out=np.zeros(scn.k), where=scn.demands > 0.0)
-    return np.concatenate([x.q * s, rel.ravel(), frac])
+    rel = (scn.user_positions - positions[..., None, :]) * s
+    frac = np.divide(backlogs, scn.demands, out=np.zeros(backlogs.shape), where=scn.demands > 0.0)
+    return np.concatenate([positions * s, rel.reshape(*positions.shape[:-1], -1), frac], axis=-1)
+
+
+def observe(x: State, scn: Scenario) -> np.ndarray:
+    """The observation vector of the single state x, of length 2 + 3K."""
+    return observations(x.q, x.d, scn)
 
 
 def observation_jacobian(scn: Scenario) -> np.ndarray:
@@ -158,15 +162,20 @@ def _check_obs(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     return obs
 
 
-def _activations(layers: list, obs: np.ndarray) -> list:
-    """One forward pass: [obs, each hidden activation, raw head output]."""
+def activations(layers: list, obs: np.ndarray) -> list:
+    """The forward pass of one observation (in,), or of every row of a
+
+    batch (N, in) on its own: [obs, each hidden activation, raw head output].
+    """
+    # one mat-vec per row of a batch rounds like the single w @ a; a @ w.T would not
+    matvec = np.matmul if obs.ndim == 1 else lambda w, a: np.matmul(w, a[:, :, None])[:, :, 0]
     acts = [obs]
     a = obs
     for w, b in layers[:-1]:
-        a = np.tanh(w @ a + b)
+        a = np.tanh(matvec(w, a) + b)
         acts.append(a)
     w, b = layers[-1]
-    acts.append(w @ a + b)
+    acts.append(matvec(w, a) + b)
     return acts
 
 
@@ -176,7 +185,7 @@ def _control(z: np.ndarray, v_max: float) -> Control:
 
 def forward(params: PolicyParams, obs: np.ndarray) -> Control:
     """Evaluate the control law: v = v_max * sigmoid(z0), theta = z1."""
-    return _control(_activations(unpack(params), _check_obs(params, obs))[-1], params.v_max)
+    return _control(activations(unpack(params), _check_obs(params, obs))[-1], params.v_max)
 
 
 def head_cotangent(upstream: np.ndarray, z0: float, v_max: float) -> np.ndarray:
@@ -224,7 +233,7 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
     """
     upstream = np.asarray(upstream, dtype=np.float64).reshape(2)
     layers = unpack(params)
-    acts = _activations(layers, _check_obs(params, obs))
+    acts = activations(layers, _check_obs(params, obs))
     delta = head_cotangent(upstream, float(acts[-1][0]), params.v_max)
     cotangents, obs_grad = backprop(layers, [1.0 - a**2 for a in acts[1:-1]], delta)
     flat = np.zeros(params.flat.size)
@@ -233,11 +242,7 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
 
 
 class PolicyController:
-    """Adapter giving the rollout loop a (t, state) -> Control callable.
-
-    The layers are unpacked once, here; record also hands the rollout
-    the forward pass's activations for the tape.
-    """
+    """Adapter giving the rollout loop a (t, state) -> Control callable; unpacks the layers once."""
 
     def __init__(self, params: PolicyParams, scn: Scenario):
         if params.spec.k != scn.k:
@@ -252,13 +257,8 @@ class PolicyController:
         self.scn = scn
         self.layers = unpack(params)
 
-    def record(self, t: int, x: State) -> tuple[Control, list]:
-        """The control at state x and its forward pass: [obs, hidden..., head]."""
-        acts = _activations(self.layers, observe(x, self.scn))
-        return _control(acts[-1], self.params.v_max), acts
-
     def __call__(self, t: int, x: State) -> Control:
-        return self.record(t, x)[0]
+        return _control(activations(self.layers, observe(x, self.scn))[-1], self.params.v_max)
 
 
 # ---------------------------------------------------------------------------

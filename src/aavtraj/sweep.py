@@ -98,7 +98,8 @@ class SweepSpec:
             TrainConfig(**self.train)
             GaConfig(**self.ga)
             GreedyConfig(**self.greedy)
-            generate_scenario(0, **dict(self.scenario))
+            for value in self.values:  # each swept value must make a scenario, too
+                generate_scenario(0, **{**self.scenario, swept: value})
         except TypeError as exc:
             raise ScenarioError(f"bad sweep override: {exc}") from None
 

@@ -67,8 +67,7 @@ def record_of(scn, states, controls, masks, completion, terminated):
         controls=np.array([(u.v, u.theta) for u in controls]).reshape(-1, 2),
         active_masks=np.array(masks).reshape(-1, scn.k),
         stage_costs=np.array([stage_cost(x, scn) for x in states[1:]]),
-        completion_step=completion, terminated_step=terminated,
-        activations=None, params=None)
+        completion_step=completion, terminated_step=terminated)
 
 
 class TestJacobians:
@@ -495,27 +494,37 @@ class TestTapeSweep:
         assert grads.tobytes() == want_grads.tobytes()
         assert np.array(costates).tobytes() == np.array(want_costates[::-1]).tobytes()
 
-    def test_tape_without_activations_raises(self):
-        scn = smooth_scn(k=2, seed=30)
-        params = init_params(30, k=2, hidden=(8,))
-        traj = rollout(SequenceController(random_controls(np.random.default_rng(30), 5)), scn, 5, 1e-12)
-        assert traj.activations is None
-        with pytest.raises(ScenarioError, match="no policy activations"):
-            backward_closedloop(traj, params, scn)
+    def test_replayed_policy_controls_give_the_same_gradient(self):
+        # the tape records the environment only, so replaying a policy's
+        # controls open loop gives the same tape and the same sweep
+        scn = generate_scenario(30, k=3, demand_lo=5.0, demand_hi=8.0)
+        params = init_params(30, k=3, hidden=(8, 6))
+        traj = policy_tape(scn, params, 40)
+        replay = rollout(SequenceController(traj.controls), scn, traj.steps, 1e-3)
+        for field in ("positions", "backlogs", "controls", "active_masks", "stage_costs"):
+            assert getattr(replay, field).tobytes() == getattr(traj, field).tobytes()
+        assert (replay.completion_step, replay.terminated_step) == (traj.completion_step, traj.terminated_step)
+        for beta in (0.0, 1.0):
+            assert_bitwise(backward_closedloop(replay, params, scn, beta=beta, alpha=1e-3),
+                           backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3))
 
     def test_tape_of_other_params_raises(self):
         scn = smooth_scn(k=2, seed=31)
         params = init_params(31, k=2, hidden=(8,))
         traj = policy_tape(scn, params, 5)
         same_values = replace(params, flat=params.flat.copy())
-        with pytest.raises(ScenarioError, match="different params"):
-            backward_closedloop(traj, same_values, scn)
+        assert_bitwise(backward_closedloop(traj, same_values, scn), backward_closedloop(traj, params, scn))
+        heading_bias = replace(params, flat=params.flat.copy())
+        heading_bias.flat[-1] += 1e-9
+        for other in (init_params(32, k=2, hidden=(8,)), heading_bias):
+            with pytest.raises(ScenarioError, match="different params"):
+                backward_closedloop(traj, other, scn)
 
     def test_nonfinite_costate_raises_at_its_step(self):
         scn = smooth_scn(k=2, seed=32)
         params = init_params(32, k=2, hidden=(8,))
         traj = policy_tape(scn, params, 6)
-        traj.positions[3, 0] = np.inf  # the pullback at step 3 sees it first
+        traj.active_masks[3, 0] = np.inf  # the policy never reads it; the pullback at step 3 does
         with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
             backward_closedloop(traj, params, scn)
         assert (exc.value.step, exc.value.where) == (3, "backward")

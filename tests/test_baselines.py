@@ -167,6 +167,19 @@ class TestGa:
         with pytest.raises(ScenarioError):
             GaConfig(elitism=50)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mutation_std", [-1, 0.3]), ("mutation_std", [0.02]),
+        ("mutation_std", (0.02, math.inf)), ("crossover_rate", 7), ("crossover_rate", -0.1),
+        ("crossover_rate", math.nan),
+    ])
+    def test_bad_operator_rates_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            GaConfig(**{field: value})
+
+    def test_operator_rates_at_their_bounds_accepted(self):
+        GaConfig(mutation_std=[0, 0.0], crossover_rate=0)
+        GaConfig(mutation_std=(0.5, 2), crossover_rate=1.0)
+
 
 class TestMissionMetrics:
     def test_colocated_single_slot(self):

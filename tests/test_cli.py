@@ -101,6 +101,13 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "unknown scenario fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("k", "4"), ("k", 2.5), ("area_side", "10"), ("seed", None)])
+    def test_bad_scenario_value_exit2(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path, "t.json", {"scenario": {field: value}})
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"scenario field '{field}'" in capsys.readouterr().err
+
 
 class TestEval:
     def test_trained_checkpoint_completes(self, tmp_path, trained, capsys):
@@ -165,6 +172,15 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "--fixed expects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("tau", "fast"), ("eta", None)])
+    def test_bad_scenario_value_exit2(self, tmp_path, scenario_path, capsys, field, value):
+        with open(scenario_path) as fh:
+            data = json.load(fh)
+        bad = write_json(tmp_path, "bad_mission.json", {**data, field: value})
+        code = main(["eval", "--scenario", bad, "--fixed", "0,0", "--out", str(tmp_path / "e")])
+        assert code == EXIT_USAGE
+        assert f"scenario field '{field}'" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit2(self, tmp_path, scenario_path, capsys):
         code = main(["eval", "--scenario", scenario_path,
                      "--checkpoint", str(tmp_path / "nope.json"),
@@ -207,6 +223,13 @@ class TestBaseline:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
 
+    def test_negative_mutation_std_exit2(self, tmp_path, scenario_path, capsys):
+        cfg = write_json(tmp_path, "ga.json", {"population": 4, "generations": 1, "mutation_std": [-1, 0.3]})
+        code = main(["baseline", "--method", "ga", "--scenario", scenario_path,
+                     "--config", cfg, "--t-max", "5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "mutation_std" in capsys.readouterr().err
+
     def test_bad_config_field_exit2(self, tmp_path, scenario_path, capsys):
         cfg = write_json(tmp_path, "g.json", {"frobs": 1})
         code = main(["baseline", "--method", "greedy", "--scenario", scenario_path,
@@ -232,6 +255,16 @@ class TestSweep:
         code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "bad sweep spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec_data, field", [
+        ({"variable": "K", "values": [2.5]}, "k must be an integer"),
+        ({"variable": "K", "values": [2], "ga": {"mutation_std": [-1, 0.3]}}, "mutation_std"),
+    ])
+    def test_bad_value_in_spec_exit2(self, tmp_path, capsys, spec_data, field):
+        spec = write_json(tmp_path, "spec.json", {**spec_data, "trials": 1, "methods": ["ga"]})
+        code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
 
     def test_failed_cells_exit1(self, tmp_path, monkeypatch, capsys):
         def explode(scn, cfg):

@@ -286,7 +286,6 @@ class TestRollout:
         assert traj.controls.shape == (t, 2)
         assert traj.active_masks.shape == (t, 2)
         assert traj.stage_costs.shape == (t,)
-        assert traj.activations is None and traj.params is None
         assert np.array_equal(traj.controls_array(), traj.controls)
         assert traj.task_cost() == sum(float(c) for c in traj.stage_costs)
         for x, q, d in zip(traj.states, traj.positions, traj.backlogs):
@@ -367,6 +366,30 @@ class TestScenario:
             unit_scn([[0, 0]], [-0.5])
         with pytest.raises(ScenarioError):
             unit_scn([[0, 0]], [1.0], v_max=0.0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "4", None])
+    def test_generate_rejects_non_integer_k(self, k):
+        with pytest.raises(ScenarioError, match="k must be an integer"):
+            generate_scenario(0, k=k)
+
+    @pytest.mark.parametrize("area_side", [-5.0, 0.0, math.inf])
+    def test_generate_rejects_bad_area_side(self, area_side):
+        with pytest.raises(ScenarioError, match="area_side"):
+            generate_scenario(0, area_side=area_side)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", "fast"), ("eta", None), ("area_side", [1, 2]), ("demands", ["a", "b", "c"]),
+    ])
+    def test_from_dict_names_a_bad_field(self, field, value):
+        data = {**scenario_to_dict(generate_scenario(9, k=3)), field: value}
+        with pytest.raises(ScenarioError, match=f"'{field}'"):
+            scenario_from_dict(data)
+
+    def test_from_dict_names_a_missing_field(self):
+        data = scenario_to_dict(generate_scenario(9, k=3))
+        del data["demands"]
+        with pytest.raises(ScenarioError, match="missing required field 'demands'"):
+            scenario_from_dict(data)
 
     def test_dict_round_trip(self):
         scn = generate_scenario(9, k=3)

@@ -16,7 +16,16 @@ from aavtraj import (
     rollout,
     save_checkpoint,
 )
-from aavtraj.policy import LayerSpec, forward, observation_jacobian, observe, unpack, vjp
+from aavtraj.policy import (
+    LayerSpec,
+    activations,
+    forward,
+    observation_jacobian,
+    observations,
+    observe,
+    unpack,
+    vjp,
+)
 
 
 class TestLayout:
@@ -197,16 +206,18 @@ class TestController:
         ref = forward(params, observe(x, scn))
         assert u.v == ref.v and u.theta == ref.theta
 
-    def test_rollout_tape_keeps_activations(self):
+    def test_batched_forward_over_tape_matches_per_step(self):
         scn = generate_scenario(2, k=3, demand_lo=5.0, demand_hi=6.0)
         params = init_params(2, k=3, hidden=(6, 5))
         traj = rollout(PolicyController(params, scn), scn, 8, 1e-3)
-        assert traj.params is params
-        assert [a.shape for a in traj.activations] == [(8, 11), (8, 6), (8, 5), (8, 2)]
+        layers = unpack(params)
+        acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+        assert [a.shape for a in acts] == [(8, 11), (8, 6), (8, 5), (8, 2)]
         for t, x in enumerate(traj.states[:-1]):
             obs = observe(x, scn)
-            assert np.array_equal(traj.activations[0][t], obs)
+            want = activations(layers, obs)
+            for got_layer, want_layer in zip(acts, want):
+                assert got_layer[t].tobytes() == want_layer.tobytes()
             u = forward(params, obs)
             assert (u.v, u.theta) == tuple(traj.controls[t])
-            z1 = traj.activations[-1][t, 1]
-            assert z1 == u.theta
+            assert acts[-1][t, 1] == u.theta

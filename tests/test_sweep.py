@@ -80,6 +80,14 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError):
             SweepSpec(variable="K", values=(2,), trials=1, methods=("dqn",))
 
+    @pytest.mark.parametrize("variable, value, message", [
+        ("K", 2.5, "k must be an integer"), ("K", 0, "k must be an integer"), ("K", "4", "k must be an integer"),
+        ("L", -5.0, "area_side"), ("eta", "x", "eta"),
+    ])
+    def test_bad_swept_value_rejected(self, variable, value, message):
+        with pytest.raises(ScenarioError, match=message):
+            SweepSpec(variable=variable, values=[2, value] if variable == "K" else [5.0, value], trials=1)
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ScenarioError):
             sweep_spec_from_dict({"variable": "K", "values": [2], "mystery": 1})
