@@ -14,7 +14,6 @@ from .baselines import (
     GreedyConfig,
     GreedyController,
     MissionMetrics,
-    SequenceController,
     evaluate_policy,
     ga_optimize,
     mission_metrics,
@@ -24,6 +23,7 @@ from .env import (
     NumericFailure,
     Scenario,
     ScenarioError,
+    SequenceController,
     State,
     TrajectoryRecord,
     generate_scenario,

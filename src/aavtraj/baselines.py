@@ -15,7 +15,17 @@ from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State, TrajectoryRecord, rates, rollout
+from .env import (  # SequenceController stays importable from here
+    Control,
+    Scenario,
+    ScenarioError,
+    SequenceController,
+    State,
+    TrajectoryRecord,
+    check_seed,
+    rates,
+    rollout,
+)
 from .smoothing import smoothness_penalty
 
 TWO_PI = 2.0 * math.pi
@@ -24,19 +34,6 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # control sources
 # ---------------------------------------------------------------------------
-
-
-class SequenceController:
-    """Replays a fixed (T, 2) array of (v, theta) rows."""
-
-    def __init__(self, controls: np.ndarray):
-        self.controls = np.asarray(controls, dtype=np.float64).reshape(-1, 2)
-
-    def __call__(self, t: int, x: State) -> Control:
-        if t >= self.controls.shape[0]:
-            raise ScenarioError(f"control sequence exhausted at step {t}")
-        v, theta = self.controls[t]
-        return Control(float(v), float(theta))
 
 
 class ConstantController:
@@ -123,6 +120,11 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "tournament_size", "elitism", "chromosome_length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        check_seed("seed", self.seed)
         if self.population < 2 or self.generations < 0:
             raise ScenarioError("population must be >= 2 and generations >= 0")
         if not 1 <= self.tournament_size <= self.population:

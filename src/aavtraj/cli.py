@@ -18,7 +18,6 @@ from .baselines import (
     GreedyConfig,
     GreedyController,
     MissionMetrics,
-    SequenceController,
     ga_optimize,
     mission_metrics,
 )
@@ -27,6 +26,7 @@ from .env import (
     NumericFailure,
     Scenario,
     ScenarioError,
+    SequenceController,
     generate_scenario,
     load_scenario,
     rollout,
@@ -85,13 +85,12 @@ def _scenario_from_config(data: dict) -> Scenario:
 
 
 def _train_config(data: dict, seed_flag: Optional[int]) -> TrainConfig:
+    if seed_flag is not None:
+        data = {**data, "seed": seed_flag}
     try:
-        cfg = TrainConfig(**data)
+        return TrainConfig(**data)
     except TypeError as exc:
         raise UsageError(f"bad train config: {exc}") from exc
-    if seed_flag is not None:
-        cfg.seed = seed_flag
-    return cfg
 
 
 def _ensure_outdir(path: str) -> str:

@@ -250,6 +250,30 @@ def initial_state(scn: Scenario) -> State:
 # ---------------------------------------------------------------------------
 
 
+class SequenceController:
+    """Replays a fixed (T, 2) array of (v, theta) rows.
+
+    rollout computes the tape of a SequenceController over the horizon
+    in array segments instead of calling it step by step; the tape and
+    any exception are those of the per-step loop.
+    """
+
+    def __init__(self, controls: np.ndarray):
+        self.controls = np.asarray(controls, dtype=np.float64).reshape(-1, 2)
+
+    def __call__(self, t: int, x: State) -> Control:
+        if t >= self.controls.shape[0]:
+            raise ScenarioError(f"control sequence exhausted at step {t}")
+        v, theta = self.controls[t]
+        return Control(float(v), float(theta))
+
+
+# Steps of an open-loop replay evaluated before the first termination
+# check: default missions end in 2-4 steps, so a whole-horizon first
+# pass would mostly compute steps the mission never takes.
+OPEN_LOOP_SEGMENT = 8
+
+
 def rollout(
     policy: Callable[[int, State], Control],
     scn: Scenario,
@@ -260,20 +284,49 @@ def rollout(
 
     policy is any callable (t, state) -> Control. Termination is checked
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
-    after t_max steps.
+    after t_max steps. A SequenceController's controls are known up
+    front, so its tape is computed in array segments (_replay), with the
+    same bits and exceptions as the step loop.
     """
     if t_max < 1:
         raise ScenarioError("t_max must be >= 1")
     if stop_eps <= 0:
         raise ScenarioError("stop_eps must be > 0")
+    threshold = stop_eps * scn.k
 
+    tape = None
+    # a subclass may override __call__, so only the class itself is replayed
+    if type(policy) is SequenceController:
+        tape = _replay(policy.controls, scn, t_max, threshold)
+    if tape is None:
+        tape = _step_loop(policy, scn, t_max, threshold)
+    positions, backlogs, controls, active_masks, terminated = tape
+
+    # a drained backlog stays at zero, so a user completes at its first zero row
+    drained = backlogs == 0.0
+    first_zero = np.argmax(drained, axis=0).tolist()
+    return TrajectoryRecord(
+        positions=positions,
+        backlogs=backlogs,
+        controls=controls,
+        active_masks=active_masks,
+        stage_costs=stage_costs(positions[1:], backlogs[1:], scn),
+        completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
+        terminated_step=terminated,
+    )
+
+
+def _step_loop(policy, scn: Scenario, t_max: int, threshold: float) -> tuple:
+    """The reference rollout: positions, backlogs, controls, masks and
+
+    the termination step, one policy call and one step() per slot.
+    """
     x = initial_state(scn)
     positions = [x.q]
     backlogs = [x.d]
     controls: list = []
     active_masks: list = []
     terminated: Optional[int] = None
-    threshold = stop_eps * scn.k
 
     for t in range(t_max):
         if float(x.d.sum()) < threshold:
@@ -293,25 +346,88 @@ def rollout(
         if float(x.d.sum()) < threshold:
             terminated = t_max
 
-    positions = np.array(positions)
-    backlogs = np.array(backlogs)
-    # a drained backlog stays at zero, so a user completes at its first zero row
-    drained = backlogs == 0.0
-    first_zero = np.argmax(drained, axis=0).tolist()
-    return TrajectoryRecord(
-        positions=positions,
-        backlogs=backlogs,
-        controls=np.array(controls, dtype=np.float64).reshape(-1, 2),
-        active_masks=np.array(active_masks, dtype=np.float64).reshape(-1, scn.k),
-        stage_costs=stage_costs(positions[1:], backlogs[1:], scn),
-        completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
-        terminated_step=terminated,
+    return (
+        np.array(positions),
+        np.array(backlogs),
+        np.array(controls, dtype=np.float64).reshape(-1, 2),
+        np.array(active_masks, dtype=np.float64).reshape(-1, scn.k),
+        terminated,
+    )
+
+
+def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
+    """_step_loop's result for a fixed (n, 2) control array, computed over
+
+    the horizon in array operations, or None when a step before
+    termination would raise (non-finite or out-of-range control,
+    non-finite state, sequence exhausted); _step_loop then raises it.
+
+    Only the two running sums are sequential: positions add the moves and
+    backlogs subtract the drains, both with np.add.accumulate, which adds
+    in the loop's order (np.cumsum of the moves alone would turn a 0.0
+    start plus a -0.0 hover move into -0.0). Drains are non-negative, so
+    an unclamped running backlog only falls: once it reaches zero it stays
+    clamped, and np.maximum(0, running) is the loop's clamped backlog.
+    The first OPEN_LOOP_SEGMENT steps are computed first and the rest of
+    the horizon only if the mission has not ended by then.
+    """
+    x = initial_state(scn)
+    q, d = x.q, x.d
+    pos_parts, back_parts, mask_parts = [q[None]], [d[None]], []
+    start, terminated = 0, None
+    # rows after a non-finite control are never used, but np.cos(inf) warns
+    with np.errstate(invalid="ignore"):
+        for stop in (min(OPEN_LOOP_SEGMENT, t_max), t_max):
+            seg = controls[start:stop]
+            m = seg.shape[0]
+            v, theta = seg[:, 0], seg[:, 1]
+            moves = (v * scn.tau)[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            pos = np.add.accumulate(np.concatenate([q[None], moves]), axis=0)
+            drains = rates(pos[:-1], scn) * scn.tau
+            raw = np.add.accumulate(np.concatenate([d[None], -drains]), axis=0)
+            back = np.maximum(0.0, raw)
+            below = np.flatnonzero(back.sum(axis=1) < threshold)
+            end = int(below[0]) if below.size else m  # steps taken in this segment
+            speeds = v[:end]
+            if not (
+                np.all((0.0 <= speeds) & (speeds <= scn.v_max))
+                and np.isfinite(theta[:end]).all()
+                and np.isfinite(pos[: end + 1]).all()
+                and np.isfinite(back[: end + 1]).all()
+            ):
+                return None
+            pos_parts.append(pos[1 : end + 1])
+            back_parts.append(back[1 : end + 1])
+            mask_parts.append((raw[1 : end + 1] > 0.0).astype(np.float64))
+            if below.size:
+                terminated = start + end
+                break
+            start += m
+            if start == t_max:
+                break
+            if start < stop:
+                return None  # the sequence ran out before t_max
+            q, d = pos[-1], back[-1]
+
+    steps = start if terminated is None else terminated
+    return (
+        np.concatenate(pos_parts),
+        np.concatenate(back_parts),
+        controls[:steps].copy(),
+        np.concatenate(mask_parts),
+        terminated,
     )
 
 
 # ---------------------------------------------------------------------------
 # scenario generation and serialization
 # ---------------------------------------------------------------------------
+
+
+def check_seed(name: str, seed) -> None:
+    """Reject a seed that numpy's generator would refuse: anything but an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ScenarioError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def generate_scenario(
@@ -333,6 +449,7 @@ def generate_scenario(
 
     uniform in [demand_lo, demand_hi]. Deterministic in the seed.
     """
+    check_seed("seed", seed)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ScenarioError(f"k must be an integer >= 1, got {k!r}")
     if not 0 <= demand_lo <= demand_hi:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
-from .env import Scenario, ScenarioError, TrajectoryRecord, generate_scenario, rates, rollout
+from .env import Scenario, ScenarioError, TrajectoryRecord, check_seed, generate_scenario, rates, rollout
 from .policy import PolicyController, PolicyParams, init_params
 from .smoothing import smoothness_penalty
 
@@ -120,6 +120,7 @@ def make_instance(
     fast-draining users can finish mid-trajectory (exercising the
     clamped branch) while slower ones stay active to the end.
     """
+    check_seed("seed", seed)
     scale = max(1.0, 0.9 * horizon)
     for attempt in range(max_attempts):
         sub = seed * 1000 + attempt

@@ -21,12 +21,11 @@ from .baselines import (
     GaConfig,
     GreedyConfig,
     GreedyController,
-    SequenceController,
     evaluate_policy,
     ga_optimize,
 )
 from .csvio import columns, write_csv
-from .env import NumericFailure, Scenario, ScenarioError, generate_scenario
+from .env import NumericFailure, Scenario, ScenarioError, SequenceController, generate_scenario
 from .policy import PolicyController
 from .trainer import TrainConfig, TrainingError, train
 

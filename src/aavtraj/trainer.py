@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
-from .env import NumericFailure, Scenario, ScenarioError, rollout
+from .env import NumericFailure, Scenario, ScenarioError, check_seed, rollout
 from .policy import PolicyController, PolicyParams, init_params
 
 ADAM_BETA1 = 0.9
@@ -58,6 +58,7 @@ class TrainConfig:
             raise ScenarioError("learning_rate, clip_threshold and stop_eps must be > 0")
         if self.early_stop_delta < 0:
             raise ScenarioError("early_stop_delta must be >= 0 (0 disables early stop)")
+        check_seed("seed", self.seed)
 
 
 @dataclass

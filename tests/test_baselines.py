@@ -176,6 +176,17 @@ class TestGa:
         with pytest.raises(ScenarioError, match=field):
             GaConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("population", 4.5), ("generations", 2.0), ("tournament_size", "3"), ("elitism", True),
+        ("chromosome_length", None), ("seed", -1), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_counts_and_bad_seeds_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            GaConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        GaConfig(population=np.int64(4), generations=np.int32(1), seed=np.uint64(7))
+
     def test_operator_rates_at_their_bounds_accepted(self):
         GaConfig(mutation_std=[0, 0.0], crossover_rate=0)
         GaConfig(mutation_std=(0.5, 2), crossover_rate=1.0)

@@ -108,6 +108,18 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert f"scenario field '{field}'" in capsys.readouterr().err
 
+    def test_negative_seed_flag_exit2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "train.json", TRAIN_CONFIG)
+        code = main(["train", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_scenario_seed_exit2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "train.json", {**TRAIN_CONFIG, "scenario": {"seed": -1, "k": 2}})
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
 
 class TestEval:
     def test_trained_checkpoint_completes(self, tmp_path, trained, capsys):
@@ -230,6 +242,19 @@ class TestBaseline:
         assert code == EXIT_USAGE
         assert "mutation_std" in capsys.readouterr().err
 
+    def test_ga_negative_seed_exit2(self, tmp_path, scenario_path, capsys):
+        code = main(["baseline", "--method", "ga", "--scenario", scenario_path,
+                     "--seed", "-1", "--t-max", "5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_ga_non_integer_population_exit2(self, tmp_path, scenario_path, capsys):
+        cfg = write_json(tmp_path, "ga.json", {"population": 4.5, "generations": 1})
+        code = main(["baseline", "--method", "ga", "--scenario", scenario_path,
+                     "--config", cfg, "--t-max", "5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "population must be an integer, got 4.5" in capsys.readouterr().err
+
     def test_bad_config_field_exit2(self, tmp_path, scenario_path, capsys):
         cfg = write_json(tmp_path, "g.json", {"frobs": 1})
         code = main(["baseline", "--method", "greedy", "--scenario", scenario_path,
@@ -300,6 +325,11 @@ class TestGradcheck:
             int(row["param_index"])
             for col in ("analytic", "finite_diff", "rel_err"):
                 float(row[col])
+
+    def test_negative_seed_exit2(self, capsys):
+        code = main(["gradcheck", "--k", "1", "--t", "8", "--seed", "-1"])
+        assert code == EXIT_USAGE
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_unknown_subcommand_exit2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

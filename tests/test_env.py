@@ -4,6 +4,7 @@ Expected values are hand derivations of the closed-form expressions,
 not captured outputs of the code under test.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from aavtraj import (
     NumericFailure,
     Scenario,
     ScenarioError,
+    SequenceController,
     State,
     generate_scenario,
     load_scenario,
     rollout,
     save_scenario,
 )
+from aavtraj import env
 from aavtraj.env import (
+    OPEN_LOOP_SEGMENT,
     initial_state,
     rate,
     rate_gradients,
@@ -328,6 +332,150 @@ class TestRollout:
         assert np.array_equal(a.stage_costs, b.stage_costs)
 
 
+def stepped(ctl):
+    """A plain callable around the controller, which rollout steps one slot at a time."""
+    return lambda t, x: ctl(t, x)
+
+
+def outcome(run):
+    """The tape of run() as bytes, or the type, message and step of what it raised."""
+    try:
+        traj = run()
+    except (ScenarioError, NumericFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "where", None)
+    arrays = (traj.positions, traj.backlogs, traj.controls, traj.active_masks, traj.stage_costs)
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+            traj.completion_step, traj.terminated_step)
+
+
+def replay_and_loop(controls, scn, t_max, stop_eps=1e-3):
+    ctl = SequenceController(controls)
+    return (outcome(lambda: rollout(ctl, scn, t_max, stop_eps)),
+            outcome(lambda: rollout(stepped(ctl), scn, t_max, stop_eps)))
+
+
+@st.composite
+def replay_cases(draw):
+    k = draw(st.integers(1, 10))
+    long = draw(st.booleans())
+    scn = generate_scenario(draw(st.integers(0, 2**16)), k=k,
+                            demand_lo=20.0 if long else 0.5, demand_hi=40.0 if long else 1.0)
+    zero = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    if zero.any():
+        scn = replace(scn, demands=np.where(zero, 0.0, scn.demands))
+    t_max = draw(st.sampled_from([1, 2, 7, 8, 9, 40, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([math.pi, 50.0, 1e4]))
+    speeds = rng.uniform(0.0, scn.v_max, t_max)
+    pick = rng.random(t_max)
+    speeds[pick < 0.15] = 0.0
+    speeds[pick > 0.85] = scn.v_max
+    controls = np.stack([speeds, rng.uniform(-span, span, t_max)], axis=1)
+    return controls, scn, t_max
+
+
+class TestReplay:
+    """A SequenceController's tape is computed in array segments; the
+
+    step loop, reached through a plain callable, is the oracle.
+    """
+
+    @given(case=replay_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_tape_equals_step_loop_bytes(self, case):
+        controls, scn, t_max = case
+        replayed, stepped_tape = replay_and_loop(controls, scn, t_max)
+        assert replayed == stepped_tape
+        # the array path itself produced it, not a fallback to the loop
+        assert env._replay(controls, scn, t_max, 1e-3 * scn.k) is not None
+
+    @pytest.mark.parametrize("demand", [0.0, 0.5, 7.0, 7.5, 8.0, 8.5, 9.0, 30.0])
+    @pytest.mark.parametrize("t_max", [1, 7, 8, 9, 20])
+    def test_termination_around_the_segment_boundary(self, demand, t_max):
+        # a hovering vehicle over its one user drains exactly 1.0 per slot
+        scn = unit_scn([[0.0, 0.0]], [demand])
+        replayed, stepped_tape = replay_and_loop(np.zeros((t_max, 2)), scn, t_max)
+        assert replayed == stepped_tape
+        expected = math.ceil(demand)
+        assert replayed[2] == (expected if expected <= t_max else None)
+
+    def test_negative_zero_hover_moves_leave_the_origin_positive(self):
+        scn = unit_scn([[3.0, 0.0]], [30.0])
+        controls = np.array([[0.0, math.pi]] * 12)  # 0 * cos(pi) is -0.0
+        replayed, stepped_tape = replay_and_loop(controls, scn, 12)
+        assert replayed == stepped_tape
+        traj = rollout(SequenceController(controls), scn, 12, 1e-3)
+        assert not np.signbit(traj.positions).any()
+
+    def test_negative_zero_demand_with_no_drain(self):
+        # eta so small that every rate rounds to 0: a -0.0 backlog stays -0.0
+        scn = unit_scn([[1.0, 0.0], [0.0, 1.0]], [-0.0, 5.0], eta=1e-30)
+        replayed, stepped_tape = replay_and_loop(np.zeros((20, 2)), scn, 20)
+        assert replayed == stepped_tape
+
+    def test_controls_are_copied_into_the_tape(self):
+        controls = np.full((20, 2), 0.1)
+        traj = rollout(SequenceController(controls), generate_scenario(0), 20, 1e-3)
+        controls[:] = 0.0
+        assert np.all(traj.controls == 0.1)
+
+    def test_does_not_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("step() called")
+
+        monkeypatch.setattr(env, "step", no_step)
+        scn = generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
+        traj = rollout(SequenceController(np.full((500, 2), 0.1)), scn, 500, 1e-3)
+        assert traj.steps > OPEN_LOOP_SEGMENT
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_row_sums_match_one_row_sums(self, k):
+        # termination compares backlogs.sum(axis=1) with the loop's per-row sum
+        rows = np.random.default_rng(k).uniform(0.0, 40.0, size=(30, k))
+        assert rows.sum(axis=1).tolist() == [row.sum() for row in rows]
+
+    @pytest.mark.parametrize("step, column, value", [
+        (0, 0, math.nan), (3, 1, math.nan), (12, 0, math.inf), (5, 1, math.inf),
+        (9, 1, -math.inf), (2, 0, -0.1), (10, 0, 0.3), (7, 0, -math.inf),
+    ])
+    def test_bad_control_raises_like_the_loop(self, step, column, value):
+        scn = generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
+        controls = np.full((40, 2), 0.1)
+        controls[step, column] = value
+        replayed, stepped_tape = replay_and_loop(controls, scn, 40)
+        assert replayed == stepped_tape
+        if math.isfinite(value):
+            assert replayed[0] is ScenarioError and replayed[1] == f"speed {value} outside [0, 0.2]"
+        else:
+            assert replayed[0] is NumericFailure and replayed[2:] == (step, "control")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1, 0.3])
+    def test_bad_control_after_termination_is_never_read(self, value):
+        scn = generate_scenario(0, k=4)
+        controls = np.full((40, 2), 0.1)
+        controls[20:, 0] = value
+        replayed, stepped_tape = replay_and_loop(controls, scn, 40)
+        assert replayed == stepped_tape
+        assert replayed[2] is not None and replayed[2] < 20
+
+    def test_non_finite_state_raises_like_the_loop(self):
+        scn = unit_scn([[0.0, 0.0]], [50.0], v_max=1e308)
+        with np.errstate(over="ignore"):
+            replayed, stepped_tape = replay_and_loop(np.full((20, 2), [1e308, 0.0]), scn, 20)
+        assert replayed == stepped_tape
+        assert replayed[:2] == (NumericFailure, "non-finite value at step 1 (state)")
+
+    @pytest.mark.parametrize("length", [0, 3, 8, 9, 30])
+    @pytest.mark.parametrize("long", [False, True])
+    def test_short_sequence_raises_like_the_loop(self, length, long):
+        scn = generate_scenario(1, k=3, demand_lo=20.0 if long else 0.5,
+                                demand_hi=40.0 if long else 1.0)
+        replayed, stepped_tape = replay_and_loop(np.full((length, 2), 0.1), scn, 60)
+        assert replayed == stepped_tape
+        if long:
+            assert replayed[:2] == (ScenarioError, f"control sequence exhausted at step {length}")
+
+
 class TestScenario:
     def test_generate_deterministic(self):
         a = generate_scenario(42)
@@ -371,6 +519,11 @@ class TestScenario:
     def test_generate_rejects_non_integer_k(self, k):
         with pytest.raises(ScenarioError, match="k must be an integer"):
             generate_scenario(0, k=k)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, None, True])
+    def test_generate_rejects_bad_seed(self, seed):
+        with pytest.raises(ScenarioError, match="seed must be an integer >= 0"):
+            generate_scenario(seed)
 
     @pytest.mark.parametrize("area_side", [-5.0, 0.0, math.inf])
     def test_generate_rejects_bad_area_side(self, area_side):

@@ -1,10 +1,16 @@
 """The benchmark's tracer (perfbench/tracing.py) rebinds names in the
 
 package's modules. Installing it fails if one of those names is gone,
-so a rename shows here and not only in a traced benchmark run.
+so a rename shows here and not only in a traced benchmark run. The GA's
+per-generation rollout time is read from the spans of that rebinding.
 """
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import aavtraj.baselines
+from aavtraj import GaConfig, generate_scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -30,3 +36,37 @@ def test_install_patches_and_uninstall_restores_every_name():
         tracer.uninstall()
     for (module, attr), orig in zip(targets, originals):
         assert getattr(module, attr) is orig, f"{module.__name__}.{attr}"
+
+
+def test_ga_fitness_rollouts_are_recorded_as_open_loop_spans():
+    # baselines.ga.rollout_ms_per_gen reads the env.rollout.open spans under
+    # each GA run, so the fitness rollouts must keep reaching the traced name
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    traced_rollout = aavtraj.baselines.rollout
+    steps = []
+
+    def recording(*args):
+        traj = traced_rollout(*args)
+        steps.append(traj.steps)
+        return traj
+
+    aavtraj.baselines.rollout = recording
+    cfg = GaConfig(population=6, generations=3, chromosome_length=120, seed=0)
+    try:
+        tracer.active = True
+        aavtraj.baselines.ga_optimize(generate_scenario(0, k=4, demand_lo=20, demand_hi=40), cfg)
+        tracer.active = False
+    finally:
+        aavtraj.baselines.rollout = traced_rollout
+        tracer.uninstall()
+
+    spans = tracer.arrays()
+    opened = spans["name_id"] == tracer.names.index("env.rollout.open")
+    assert opened.sum() == len(steps) == cfg.population * (cfg.generations + 1)
+    assert spans["value"][opened].sum() == sum(steps)
+    metrics = tracer.layer_metrics(rounds=1)
+    per_gen = [sum(steps[g * cfg.population:(g + 1) * cfg.population]) for g in range(1, cfg.generations + 1)]
+    assert metrics["baselines.ga.rollout_steps_per_gen"][0] == np.median(per_gen)
+    assert metrics["env.rollout.open_us_per_step"][0] > 0

@@ -175,6 +175,11 @@ class TestTrainConfig:
             TrainConfig(early_stop_delta=-1.0)
         TrainConfig(early_stop_delta=0.0)  # zero disables the rule
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="seed must be an integer >= 0"):
+            TrainConfig(seed=seed)
+
 
 class TestTrainLoop:
     def test_deterministic_given_seed(self):
