@@ -28,18 +28,16 @@ from .env import (
 from .policy import (
     PolicyParams,
     activations,
-    add_param_grads,
-    backprop,
-    head_cotangent,
+    head_slopes,
+    input_jacobians,
     observation_jacobian,
     observations,
     observe,
+    pullback,
     unpack,
     vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
 )
 from .smoothing import smoothness_grads, smoothness_penalty
-
-SWEEP_BLOCK = 8  # closed-loop sweep steps whose parameter gradients are formed together
 
 
 def state_jacobians(positions: np.ndarray, masks: np.ndarray, scn: Scenario) -> np.ndarray:
@@ -183,65 +181,54 @@ def backward_closedloop(
     beta: float = 0.0,
     alpha: float = 1e-3,
 ) -> GradientBundle:
-    """Reverse sweep of the full training objective through the policy.
+    """Reverse sweep of the full training objective through the policy,
+
+    written as the discrete adjoint recurrence of the closed loop.
 
     The policy's forward pass is recomputed from the tape's states in one
     batched pass, and the headings it gives must be the tape's bit for
-    bit, so the tape must come from rolling out these parameter values;
-    the per-step Jacobians are built for the whole tape before the sweep.
-    Unlike the open-loop sweep, the costate here also flows backwards
-    through the control law (observation Jacobian composed with the
-    policy VJP), and the smoothness partials enter each action gradient
-    directly.
+    bit, so the tape must come from rolling out these parameter values.
+    With the forward pass known, the sweep is linear in the costate:
+    lam_t = M_t^T lam_{t+1} + e_t, where M_t = A_t + B_t du_dx_t chains the
+    state Jacobian with the control law (du_dx_t = diag(h_t) J_t O: head
+    slope, policy input Jacobian, observation Jacobian) and e_t is the
+    stage-cost gradient plus du_dx_t^T of the smoothness partials. Every
+    M_t and e_t is built for the whole tape at once; only the T mat-vecs of
+    the recurrence run in sequence. The action gradients and the one
+    batched policy pullback of the parameter gradient follow from the
+    costates.
     """
     t_len = _check_record(traj)
-    p = params.flat.size
     controls = traj.controls
     j_task = traj.task_cost()
     j_smooth = smoothness_penalty(controls, alpha)
     j_total = j_task + beta * j_smooth
     if t_len == 0:
-        return GradientBundle(np.zeros((0, 2)), np.zeros(p), j_task, j_smooth, j_total)
+        return GradientBundle(np.zeros((0, 2)), np.zeros(params.flat.size), j_task, j_smooth, j_total)
 
     layers = unpack(params)
     acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
     if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
         raise ScenarioError("trajectory record was rolled out with different params")
-    heads = acts[-1][:, 0].tolist()
-    s_grads = smoothness_grads(controls, alpha) if beta != 0.0 else np.zeros((t_len, 2))
-    obs_jac = observation_jacobian(scn)
+    slopes = head_slopes(acts[-1], params.v_max)
+    du_dx = input_jacobians(layers, acts, slopes) @ observation_jacobian(scn)
     b_mats = control_jacobians(controls, scn)
-    a_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
-    cost_grads = cost_gradients(traj.positions, scn)
-    param_grad = np.zeros(p)
-    action_grads = np.zeros((t_len, 2))
+    m_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
+    m_mats += b_mats @ du_dx
+    lam = cost_gradients(traj.positions, scn)  # rows 0..T-1 start as e_t, row T is lam_T
+    lam[0] = 0.0  # the initial state carries no cost term
+    s_grads = np.zeros((t_len, 2))
+    if beta != 0.0:
+        s_grads = beta * smoothness_grads(controls, alpha)
+        lam[:-1] += np.einsum("ti,tij->tj", s_grads, du_dx)
+    for t in range(t_len - 1, -1, -1):
+        lam[t] += lam[t + 1] @ m_mats[t]
+    bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
+    if bad.size:
+        raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches
 
-    lam = cost_grads[t_len]
-    # The sweep runs in blocks of SWEEP_BLOCK steps, the last block first.
-    # After each block, its steps' parameter gradients join the sum in sweep
-    # order (t = T-1 first), so only one block of them is held at a time.
-    for hi in range(t_len, 0, -SWEEP_BLOCK):
-        lo = max(hi - SWEEP_BLOCK, 0)
-        slopes = [1.0 - a[lo:hi] ** 2 for a in acts[1:-1]]  # per block: no second tape-sized copy
-        cotangents = []
-        for t in range(hi - 1, lo - 1, -1):
-            g_u = b_mats[t].T @ lam + beta * s_grads[t]
-            action_grads[t] = g_u
-            delta = head_cotangent(g_u, heads[t], params.v_max)
-            step_cotangents, o_grad = backprop(layers, [s[t - lo] for s in slopes], delta)
-            cotangents.append(step_cotangents)
-            lam = a_mats[t].T @ lam + obs_jac.T @ o_grad
-            if t >= 1:
-                lam = lam + cost_grads[t]
-            if not np.isfinite(lam).all():
-                raise NumericFailure(t, "backward")
-        add_param_grads(
-            param_grad,
-            params.spec,
-            [np.array(rows) for rows in zip(*cotangents)],
-            [a[lo:hi][::-1] for a in acts[:-1]],
-        )
-
+    action_grads = np.einsum("tij,ti->tj", b_mats, lam[1:]) + s_grads
+    param_grad, _ = pullback(layers, acts, slopes * action_grads)
     if not np.all(np.isfinite(param_grad)):
         raise NumericFailure(0, "backward")
     return GradientBundle(action_grads, param_grad, j_task, j_smooth, j_total)

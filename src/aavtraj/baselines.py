@@ -9,6 +9,7 @@ apples to apples.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +23,7 @@ from .env import (  # SequenceController stays importable from here
     SequenceController,
     State,
     TrajectoryRecord,
+    check_int,
     check_seed,
     rates,
     rollout,
@@ -63,10 +65,13 @@ class GreedyConfig:
     speed_grid: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.heading_grid < 1:
-            raise ScenarioError("heading_grid must be >= 1")
+        check_int("heading_grid", self.heading_grid, 1)
         if self.speed_grid is not None:
-            self.speed_grid = tuple(float(s) for s in self.speed_grid)
+            grid = self.speed_grid
+            if not (np.iterable(grid) and all(
+                    isinstance(s, numbers.Real) and not isinstance(s, bool) for s in grid)):
+                raise ScenarioError(f"speed_grid must be a list of numbers, got {grid!r}")
+            self.speed_grid = tuple(float(s) for s in grid)
 
 
 def greedy_action(x: State, scn: Scenario, cfg: GreedyConfig) -> Control:
@@ -120,19 +125,14 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population", "generations", "tournament_size", "elitism", "chromosome_length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        for name, lo in (("population", 2), ("generations", 0), ("tournament_size", 1),
+                         ("elitism", 0), ("chromosome_length", 1)):
+            check_int(name, getattr(self, name), lo)
         check_seed("seed", self.seed)
-        if self.population < 2 or self.generations < 0:
-            raise ScenarioError("population must be >= 2 and generations >= 0")
-        if not 1 <= self.tournament_size <= self.population:
+        if self.tournament_size > self.population:
             raise ScenarioError("tournament_size must be in [1, population]")
-        if not 0 <= self.elitism < self.population:
+        if self.elitism >= self.population:
             raise ScenarioError("elitism must be in [0, population)")
-        if self.chromosome_length < 1:
-            raise ScenarioError("chromosome_length must be >= 1")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ScenarioError(f"crossover_rate must be in [0, 1], got {self.crossover_rate!r}")
         if len(self.mutation_std) != 2 or not all(0.0 <= s < math.inf for s in self.mutation_std):
@@ -176,8 +176,8 @@ def ga_optimize(
 
     v_std, th_std = cfg.mutation_std
     for _ in range(cfg.generations):
-        order = np.argsort(-fitness, kind="stable")
-        children = [pop[i].copy() for i in order[: cfg.elitism]]
+        elites = np.argsort(-fitness, kind="stable")[: cfg.elitism]
+        children = [pop[i].copy() for i in elites]
         while len(children) < cfg.population:
             pa = pop[_tournament(rng, fitness, cfg.tournament_size)]
             pb = pop[_tournament(rng, fitness, cfg.tournament_size)]
@@ -194,7 +194,8 @@ def ga_optimize(
             if len(children) < cfg.population:
                 children.append(cb)
         pop = np.stack(children)
-        fitness = np.array([_fitness(c, scn, cfg) for c in pop])
+        # an elite's fitness is known: only the bred children are rolled out
+        fitness = np.concatenate([fitness[elites], [_fitness(c, scn, cfg) for c in children[cfg.elitism:]]])
         gen_best = int(np.argmax(fitness))
         if float(fitness[gen_best]) > best_fit:
             best_fit = float(fitness[gen_best])

@@ -424,10 +424,15 @@ def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -
 # ---------------------------------------------------------------------------
 
 
+def check_int(name: str, value, lo: int) -> None:
+    """Reject anything but an integer >= lo; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ScenarioError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 def check_seed(name: str, seed) -> None:
     """Reject a seed that numpy's generator would refuse: anything but an integer >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ScenarioError(f"{name} must be an integer >= 0, got {seed!r}")
+    check_int(name, seed, 0)
 
 
 def generate_scenario(
@@ -450,8 +455,7 @@ def generate_scenario(
     uniform in [demand_lo, demand_hi]. Deterministic in the seed.
     """
     check_seed("seed", seed)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ScenarioError(f"k must be an integer >= 1, got {k!r}")
+    check_int("k", k, 1)
     if not 0 <= demand_lo <= demand_hi:
         raise ScenarioError("need 0 <= demand_lo <= demand_hi")
     if not (math.isfinite(area_side) and area_side > 0):

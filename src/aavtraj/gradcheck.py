@@ -8,6 +8,7 @@ comparison would be meaningless.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence
 
@@ -173,8 +174,12 @@ def run_gradcheck(
 
     against central differences, entry by entry. `indices` restricts the
     check to given parameters; `sample` draws that many at random
-    (seeded) instead, trading coverage for speed.
+    (seeded) instead, trading coverage for speed. A non-finite relative
+    error fails the report.
     """
+    for name, value in (("h", h), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ScenarioError(f"{name} must be a positive finite number, got {value!r}")
     inst = make_instance(k, horizon, seed, hidden=hidden)
     traj = rollout(PolicyController(inst.params, inst.scn), inst.scn, horizon, stop_eps)
     bundle = backward_closedloop(traj, inst.params, inst.scn, beta=beta, alpha=alpha)
@@ -187,12 +192,12 @@ def run_gradcheck(
     idx = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
     fd = fd_param_gradient(inst.params, inst.scn, horizon, stop_eps, beta, alpha, h, idx)
     floor = noise_floor(bundle.j_total, h, tol)
-    rows = []
-    worst = 0.0
-    for j, i in enumerate(idx):
-        err = relative_error(float(bundle.param_grad[i]), float(fd[j]), floor)
-        worst = max(worst, err)
-        rows.append(GradcheckRow(int(i), float(bundle.param_grad[i]), float(fd[j]), err))
+    rows = [
+        GradcheckRow(int(i), float(bundle.param_grad[i]), float(fd[j]),
+                     relative_error(float(bundle.param_grad[i]), float(fd[j]), floor))
+        for j, i in enumerate(idx)
+    ]
+    worst = float(np.max([r.rel_err for r in rows], initial=0.0))  # nan propagates, and fails
     return GradcheckReport(
         rows=rows, max_rel_err=worst, passed=worst <= tol,
         k=k, horizon=horizon, seed=seed, h=h, tol=tol,

@@ -84,26 +84,16 @@ def init_params(seed: int, k: int, hidden: tuple = (64, 64, 32), v_max: float = 
     return PolicyParams(flat=np.concatenate(chunks), spec=spec, v_max=v_max, seed=seed)
 
 
-def layer_views(flat: np.ndarray, spec: LayerSpec) -> list:
-    """Split an array in the flat parameter layout along its last axis
-
-    into [(W, b), ...] views, one per layer; leading axes carry over.
-    """
-    lead = flat.shape[:-1]
-    layers = []
-    off = 0
-    for din, dout in zip(spec.dims[:-1], spec.dims[1:]):
-        w = flat[..., off : off + din * dout].reshape(*lead, dout, din)
-        off += din * dout
-        b = flat[..., off : off + dout]
-        off += dout
-        layers.append((w, b))
-    return layers
-
-
 def unpack(params: PolicyParams) -> list:
     """Split the flat vector into [(W, b), ...] views, one per layer."""
-    return layer_views(params.flat, params.spec)
+    layers = []
+    off = 0
+    for din, dout in zip(params.spec.dims[:-1], params.spec.dims[1:]):
+        w = params.flat[off : off + din * dout].reshape(dout, din)
+        off += din * dout
+        layers.append((w, params.flat[off : off + dout]))
+        off += dout
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -188,57 +178,55 @@ def forward(params: PolicyParams, obs: np.ndarray) -> Control:
     return _control(activations(unpack(params), _check_obs(params, obs))[-1], params.v_max)
 
 
-def head_cotangent(upstream: np.ndarray, z0: float, v_max: float) -> np.ndarray:
-    """Pull a cotangent on (v, theta) back to the raw head output (z0, z1)."""
-    sig = _sigmoid(z0)
-    return np.array([upstream[0] * v_max * sig * (1.0 - sig), upstream[1]])
+def head_slopes(z: np.ndarray, v_max: float) -> np.ndarray:
+    """The diagonal of d(v, theta) / d(z0, z1), (v_max * sigmoid'(z0), 1), of
 
-
-def backprop(layers: list, slopes: list, delta: np.ndarray) -> tuple[list, np.ndarray]:
-    """Pull the cotangent delta of the raw head output back through one
-
-    forward pass. slopes[i] is the tanh derivative 1 - a**2 of hidden
-    layer i's activation a. Returns the cotangent of every layer's output
-    (layer 0 first, the head last) and the observation gradient.
+    every row of raw head outputs z (N, 2), as (N, 2).
     """
-    cotangents = [delta]
+    sig = 0.5 * (1.0 + np.tanh(0.5 * z[:, 0]))
+    return np.column_stack([v_max * sig * (1.0 - sig), np.ones(z.shape[0])])
+
+
+def input_jacobians(layers: list, acts: list, slopes: np.ndarray) -> np.ndarray:
+    """d(v, theta) / d obs of each of N forward passes, (N, 2, in): the
+
+    head rows scaled by slopes (N, 2) from head_slopes, pulled back
+    through the layers. acts is the batched activations(...) of the passes.
+    """
+    rows = slopes[:, :, None] * layers[-1][0]
     for idx in range(len(layers) - 1, 0, -1):
-        delta = (layers[idx][0].T @ delta) * slopes[idx - 1]
-        cotangents.append(delta)
-    cotangents.reverse()
-    return cotangents, layers[0][0].T @ delta
+        rows *= (1.0 - acts[idx] ** 2)[:, None, :]
+        rows = rows @ layers[idx - 1][0]
+    return rows
 
 
-def add_param_grads(grad: np.ndarray, spec: LayerSpec, cotangents: list, inputs: list) -> None:
-    """Add the parameter gradient of each of n steps into the flat vector
+def pullback(layers: list, acts: list, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the cotangents delta (N, 2) of the raw head outputs of N forward
 
-    grad, one step after another in row order. cotangents[i] (n, out) and
-    inputs[i] (n, in) hold layer i's output cotangent and its input per
-    step; a step's gradient is, layer by layer, their outer product then
-    the cotangent.
+    passes back through the layers; acts is the batched activations(...).
+    Returns the parameter gradient summed over the passes, laid out like the
+    flat parameter vector, and each pass's observation cotangent (N, in).
     """
-    rows = np.empty((cotangents[0].shape[0], grad.size))
-    for (w, b), cot, inp in zip(layer_views(rows, spec), cotangents, inputs):
-        np.einsum("ti,tj->tij", cot, inp, out=w)
-        b[...] = cot
-    for row in rows:
-        grad += row
+    chunks = []
+    for idx in range(len(layers) - 1, -1, -1):
+        chunks += [delta.sum(axis=0), (delta.T @ acts[idx]).ravel()]
+        delta = delta @ layers[idx][0]
+        if idx > 0:
+            delta *= 1.0 - acts[idx] ** 2
+    return np.concatenate(chunks[::-1]), delta
 
 
 def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pull an upstream cotangent on (v, theta) back to parameters and obs.
 
     Returns (param_grad, obs_grad) with param_grad laid out exactly like
-    the flat parameter vector. A single backward pass serves both outputs.
+    the flat parameter vector: the one-row pullback.
     """
-    upstream = np.asarray(upstream, dtype=np.float64).reshape(2)
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(1, 2)
     layers = unpack(params)
-    acts = activations(layers, _check_obs(params, obs))
-    delta = head_cotangent(upstream, float(acts[-1][0]), params.v_max)
-    cotangents, obs_grad = backprop(layers, [1.0 - a**2 for a in acts[1:-1]], delta)
-    flat = np.zeros(params.flat.size)
-    add_param_grads(flat, params.spec, [c[None] for c in cotangents], [a[None] for a in acts[:-1]])
-    return flat, obs_grad
+    acts = activations(layers, _check_obs(params, obs)[None])
+    flat, obs_grad = pullback(layers, acts, head_slopes(acts[-1], params.v_max) * upstream)
+    return flat, obs_grad[0]
 
 
 class PolicyController:

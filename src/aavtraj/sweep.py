@@ -25,7 +25,7 @@ from .baselines import (
     ga_optimize,
 )
 from .csvio import columns, write_csv
-from .env import NumericFailure, Scenario, ScenarioError, SequenceController, generate_scenario
+from .env import NumericFailure, Scenario, ScenarioError, SequenceController, check_int, generate_scenario
 from .policy import PolicyController
 from .trainer import TrainConfig, TrainingError, train
 
@@ -77,8 +77,7 @@ class SweepSpec:
         if not self.values:
             self.values = DEFAULT_VALUES[self.variable]
         self.values = tuple(self.values)
-        if self.trials < 1:
-            raise ScenarioError("trials must be >= 1")
+        check_int("trials", self.trials, 1)
         self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in METHODS:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
-from .env import NumericFailure, Scenario, ScenarioError, check_seed, rollout
+from .env import NumericFailure, Scenario, ScenarioError, check_int, check_seed, rollout
 from .policy import PolicyController, PolicyParams, init_params
 
 ADAM_BETA1 = 0.9
@@ -52,8 +52,8 @@ class TrainConfig:
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.optimizer not in ("adam", "sgd"):
             raise ScenarioError(f"unknown optimizer {self.optimizer!r}")
-        if self.max_iters < 1 or self.t_max < 1 or self.early_stop_patience < 1:
-            raise ScenarioError("max_iters, t_max and early_stop_patience must be >= 1")
+        for name in ("max_iters", "t_max", "early_stop_patience"):
+            check_int(name, getattr(self, name), 1)
         if self.learning_rate <= 0 or self.clip_threshold <= 0 or self.stop_eps <= 0:
             raise ScenarioError("learning_rate, clip_threshold and stop_eps must be > 0")
         if self.early_stop_delta < 0:

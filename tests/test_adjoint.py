@@ -3,8 +3,9 @@
 Every analytic quantity is checked against test-local finite differences
 of independent re-rollouts. Instances keep backlogs far from the clamp
 kink and never terminate inside the horizon, so FD probes see a smooth
-objective. The closed-loop sweep over the array tape is also checked,
-bit for bit, against a per-step sweep kept here as an oracle.
+objective. The closed-loop sweep over the array tape is also checked
+against a per-step sweep kept here as an oracle, to within the rounding
+of summing the same per-step terms in another order.
 """
 import math
 from dataclasses import replace
@@ -34,7 +35,7 @@ from aavtraj.adjoint import (
 )
 from aavtraj.baselines import SequenceController
 from aavtraj.env import initial_state, rate_gradients, stage_cost, step
-from aavtraj.policy import PolicyController, _sigmoid, observation_jacobian, observe, unpack
+from aavtraj.policy import PolicyController, _sigmoid, observation_jacobian, observe, unpack, vjp
 from aavtraj.smoothing import smoothness_grads, smoothness_penalty
 
 
@@ -318,7 +319,7 @@ class TestClosedLoop:
 
 
 # ---------------------------------------------------------------------------
-# the tape sweep against the per-step sweep, bit for bit
+# the tape sweep against the per-step sweep
 # ---------------------------------------------------------------------------
 
 
@@ -420,6 +421,38 @@ def assert_bitwise(got, want):
     assert (got.j_task, got.j_smooth, got.j_total) == (want.j_task, want.j_smooth, want.j_total)
 
 
+def assert_array_reordered(got, want, t_len):
+    """got holds the same per-step terms as want, summed in another order
+
+    along at most t_len steps: max|got - want| <= 8 * t_len * eps * max|want|.
+    """
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 8 * t_len * 2.22e-16 * np.abs(want).max()
+
+
+def assert_reordered(got, want, t_len):
+    """A sweep against the per-step oracle: gradients within the reordering
+
+    bound, objective values bit for bit."""
+    assert_array_reordered(got.action_grads, want.action_grads, t_len)
+    assert_array_reordered(got.param_grad, want.param_grad, t_len)
+    assert (got.j_task, got.j_smooth, got.j_total) == (want.j_task, want.j_smooth, want.j_total)
+
+
+class TestPullback:
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64, 32)])
+    def test_vjp_matches_per_step_vjp(self, hidden):
+        scn = generate_scenario(40, k=3)
+        params = init_params(40, k=3, hidden=hidden)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            obs = observe(State(q=rng.uniform(-5.0, 5.0, 2), d=rng.uniform(0.0, 1.0, 3)), scn)
+            upstream = rng.normal(0.0, 1.0, 2)
+            got, want = vjp(params, obs, upstream), vjp_per_step(params, obs, upstream)
+            for g, w in zip(got, want):
+                assert_array_reordered(g, w, 1)
+
+
 def policy_tape(scn, params, t_max):
     return rollout(PolicyController(params, scn), scn, t_max, 1e-3)
 
@@ -435,14 +468,24 @@ class TestTapeSweep:
         traj = policy_tape(scn, params, 150)
         assert traj.steps >= 1
         want = closedloop_per_step(traj, params, scn, beta, 1e-3)
-        assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want)
+        assert_reordered(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want, traj.steps)
 
     def test_default_width_long_mission(self):
         scn = generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
         params = init_params(7, k=4)
         traj = policy_tape(scn, params, 120)
         want = closedloop_per_step(traj, params, scn, 1.0, 1e-3)
-        assert_bitwise(backward_closedloop(traj, params, scn, beta=1.0, alpha=1e-3), want)
+        assert_reordered(backward_closedloop(traj, params, scn, beta=1.0, alpha=1e-3), want, traj.steps)
+
+    def test_default_width_ten_users_500_steps(self):
+        # the longest tape and the widest state: reordering error accumulates most
+        scn = generate_scenario(10, k=10, demand_lo=20.0, demand_hi=40.0)
+        params = init_params(110, k=10)
+        traj = policy_tape(scn, params, 500)
+        assert traj.steps == 500
+        for beta in (0.0, 1.0):
+            want = closedloop_per_step(traj, params, scn, beta, 1e-3)
+            assert_reordered(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want, 500)
 
     def test_zero_demand_user_and_clamps_mid_mission(self):
         # users drain one after another, one has nothing to send at all
@@ -456,7 +499,7 @@ class TestTapeSweep:
         assert clamped_mid.any(axis=0).sum() >= 2
         for beta in (0.0, 1.0):
             want = closedloop_per_step(traj, params, scn, beta, 1e-3)
-            assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want)
+            assert_reordered(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want, traj.steps)
 
     def test_empty_tape(self):
         scn = generate_scenario(0, k=3, demand_lo=0.0, demand_hi=0.0)
@@ -474,7 +517,7 @@ class TestTapeSweep:
         assert traj.steps == 1
         for beta in (0.0, 1.0):
             want = closedloop_per_step(traj, params, scn, beta, 1e-3)
-            assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want)
+            assert_reordered(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), want, traj.steps)
 
     def test_openloop_matches_per_step_sweep(self):
         scn = Scenario(user_positions=np.array([[0.5, 0.0], [-1.0, 1.0], [2.0, -2.0]]),

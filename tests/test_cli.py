@@ -114,6 +114,19 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
+    def test_bool_k_exit2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "t.json", {**TRAIN_CONFIG, "scenario": {"k": True}})
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "k must be an integer >= 1, got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("max_iters", 2.5), ("t_max", 7.5), ("early_stop_patience", True)])
+    def test_non_integer_train_field_exit2(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path, "t.json", {**TRAIN_CONFIG, "train": {field: value}})
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"{field} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
     def test_negative_scenario_seed_exit2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "train.json", {**TRAIN_CONFIG, "scenario": {"seed": -1, "k": 2}})
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -253,7 +266,19 @@ class TestBaseline:
         code = main(["baseline", "--method", "ga", "--scenario", scenario_path,
                      "--config", cfg, "--t-max", "5", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        assert "population must be an integer, got 4.5" in capsys.readouterr().err
+        assert "population must be an integer >= 2, got 4.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"heading_grid": 2.5}, "heading_grid must be an integer >= 1, got 2.5"),
+        ({"heading_grid": True}, "heading_grid must be an integer >= 1, got True"),
+        ({"speed_grid": [0.1, "x"]}, "speed_grid must be a list of numbers, got [0.1, 'x']"),
+    ])
+    def test_bad_greedy_grid_exit2(self, tmp_path, scenario_path, capsys, config, message):
+        cfg = write_json(tmp_path, "g.json", config)
+        code = main(["baseline", "--method", "greedy", "--scenario", scenario_path,
+                     "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_bad_config_field_exit2(self, tmp_path, scenario_path, capsys):
         cfg = write_json(tmp_path, "g.json", {"frobs": 1})
@@ -290,6 +315,12 @@ class TestSweep:
         code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    def test_non_integer_trials_exit2(self, tmp_path, capsys):
+        spec = write_json(tmp_path, "spec.json", {"variable": "K", "values": [2], "trials": 1.5})
+        code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "trials must be an integer >= 1, got 1.5" in capsys.readouterr().err
 
     def test_failed_cells_exit1(self, tmp_path, monkeypatch, capsys):
         def explode(scn, cfg):
@@ -330,6 +361,12 @@ class TestGradcheck:
         code = main(["gradcheck", "--k", "1", "--t", "8", "--seed", "-1"])
         assert code == EXIT_USAGE
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--h", "0"), ("--tol", "0"), ("--h", "nan"), ("--tol", "-1e-5")])
+    def test_step_and_tolerance_must_be_positive_finite_exit2(self, capsys, flag, value):
+        code = main(["gradcheck", "--k", "1", "--t", "8", "--sample", "4", f"{flag}={value}"])
+        assert code == EXIT_USAGE
+        assert f"{flag[2:]} must be a positive finite number" in capsys.readouterr().err
 
     def test_unknown_subcommand_exit2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

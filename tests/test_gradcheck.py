@@ -4,7 +4,7 @@ import csv
 import numpy as np
 import pytest
 
-from aavtraj import run_gradcheck, save_gradcheck_report
+from aavtraj import ScenarioError, run_gradcheck, save_gradcheck_report
 from aavtraj.gradcheck import (
     clamp_margin,
     fd_param_gradient,
@@ -108,6 +108,26 @@ class TestFdHarness:
                                h=1e-1, sample=40)
         assert not report.passed
         assert report.max_rel_err > report.tol
+
+    @pytest.mark.parametrize("bad", [{"h": 0.0}, {"tol": 0.0}, {"h": -1e-6}, {"h": np.inf}, {"tol": np.nan}])
+    def test_step_and_tolerance_must_be_positive_finite(self, bad):
+        # h = 0 makes every difference nan and tol = 0 an infinite noise
+        # floor: both used to report a pass with max_rel_err 0
+        name = next(iter(bad))
+        with pytest.raises(ScenarioError, match=f"{name} must be a positive finite number"):
+            run_gradcheck(k=1, horizon=8, seed=0, hidden=(8,), indices=[0], **bad)
+
+    def test_nonfinite_difference_fails_the_report(self, monkeypatch):
+        def one_nan(*args, **kwargs):
+            fd = fd_param_gradient(*args, **kwargs)
+            fd[1] = np.nan
+            return fd
+
+        monkeypatch.setattr("aavtraj.gradcheck.fd_param_gradient", one_nan)
+        report = run_gradcheck(k=1, horizon=8, seed=0, hidden=(8,), indices=[0, 3, 5])
+        assert np.isnan(report.rows[1].rel_err)
+        assert np.isnan(report.max_rel_err)
+        assert not report.passed
 
     def test_zero_demand_gradients_vanish(self):
         inst = make_instance(k=2, horizon=10, seed=1, hidden=(8, 4))

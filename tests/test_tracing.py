@@ -64,9 +64,11 @@ def test_ga_fitness_rollouts_are_recorded_as_open_loop_spans():
 
     spans = tracer.arrays()
     opened = spans["name_id"] == tracer.names.index("env.rollout.open")
-    assert opened.sum() == len(steps) == cfg.population * (cfg.generations + 1)
+    # generation 0 rolls out the whole population, later ones only the bred children
+    bred = cfg.population - cfg.elitism
+    assert opened.sum() == len(steps) == cfg.population + cfg.generations * bred
     assert spans["value"][opened].sum() == sum(steps)
     metrics = tracer.layer_metrics(rounds=1)
-    per_gen = [sum(steps[g * cfg.population:(g + 1) * cfg.population]) for g in range(1, cfg.generations + 1)]
+    per_gen = [sum(steps[cfg.population + g * bred:cfg.population + (g + 1) * bred]) for g in range(cfg.generations)]
     assert metrics["baselines.ga.rollout_steps_per_gen"][0] == np.median(per_gen)
     assert metrics["env.rollout.open_us_per_step"][0] > 0
