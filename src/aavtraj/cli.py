@@ -122,10 +122,14 @@ def cmd_train(args) -> int:
     save_checkpoint(params, os.path.join(out, "checkpoint.json"))
     save_training_log(log, os.path.join(out, "training_log.csv"))
     save_scenario(scn, os.path.join(out, "scenario.json"))
+    # train() retries once at half the rate after a numeric failure
+    retried = ""
+    if log.learning_rate != cfg.learning_rate:
+        retried = f"; retried at learning_rate={log.learning_rate}"
     print(
         f"trained {log.iterations} iterations "
         f"(converged={log.converged}, reason={log.stop_reason}, "
-        f"final_j={log.rows[-1].j_total if log.rows else float('nan')})"
+        f"final_j={log.rows[-1].j_total if log.rows else float('nan')}){retried}"
     )
     return EXIT_OK
 

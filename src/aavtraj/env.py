@@ -285,8 +285,10 @@ def rollout(
     policy is any callable (t, state) -> Control. Termination is checked
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
     after t_max steps. A SequenceController's controls are known up
-    front, so its tape is computed in array segments (_replay), with the
-    same bits and exceptions as the step loop.
+    front, so its tape is computed in array segments (_replay); a
+    PolicyController run on its own scenario steps through preallocated
+    arrays (policy.policy_tape). Both give the step loop's bits and
+    exceptions.
     """
     if t_max < 1:
         raise ScenarioError("t_max must be >= 1")
@@ -295,9 +297,14 @@ def rollout(
     threshold = stop_eps * scn.k
 
     tape = None
-    # a subclass may override __call__, so only the class itself is replayed
+    # a subclass may override __call__, so only the classes themselves take an array path
     if type(policy) is SequenceController:
         tape = _replay(policy.controls, scn, t_max, threshold)
+    else:
+        from .policy import PolicyController, policy_tape  # policy imports env
+
+        if type(policy) is PolicyController and policy.scn is scn:
+            tape = policy_tape(policy, t_max, threshold)
     if tape is None:
         tape = _step_loop(policy, scn, t_max, threshold)
     positions, backlogs, controls, active_masks, terminated = tape

@@ -157,6 +157,22 @@ class GradcheckReport:
     tol: float
 
 
+def check_indices(indices: Sequence[int], n: int) -> np.ndarray:
+    """indices as an int array, or a ScenarioError naming the first bad value:
+
+    none at all, a non-integer, or one outside [0, n).
+    """
+    values = list(indices)
+    if not values:
+        raise ScenarioError(f"indices must name at least one parameter, got {indices!r}")
+    for i in values:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ScenarioError(f"parameter index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise ScenarioError(f"parameter index {i} outside [0, {n})")
+    return np.asarray(values, dtype=int)
+
+
 def run_gradcheck(
     k: int = 2,
     horizon: int = 20,
@@ -173,9 +189,10 @@ def run_gradcheck(
     """Build a clamp-safe instance and compare the reverse-sweep gradient
 
     against central differences, entry by entry. `indices` restricts the
-    check to given parameters; `sample` draws that many at random
-    (seeded) instead, trading coverage for speed. A non-finite relative
-    error fails the report.
+    check to given parameters (at least one, each an integer in
+    [0, n_params)); `sample` draws that many at random (seeded) instead,
+    trading coverage for speed. A non-finite relative error fails the
+    report.
     """
     for name, value in (("h", h), ("tol", tol)):
         if not (math.isfinite(value) and value > 0.0):
@@ -189,7 +206,7 @@ def run_gradcheck(
             raise ScenarioError("sample must be >= 1")
         picker = np.random.default_rng(seed)
         indices = np.sort(picker.choice(n, size=min(sample, n), replace=False))
-    idx = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
+    idx = np.arange(n) if indices is None else check_indices(indices, n)
     fd = fd_param_gradient(inst.params, inst.scn, horizon, stop_eps, beta, alpha, h, idx)
     floor = noise_floor(bundle.j_total, h, tol)
     rows = [

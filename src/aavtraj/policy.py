@@ -249,6 +249,103 @@ class PolicyController:
         return _control(activations(self.layers, observe(x, self.scn))[-1], self.params.v_max)
 
 
+# Rows the closed-loop tape buffers start with; a longer mission doubles them,
+# so a huge t_max costs nothing until the mission runs that long.
+TAPE_ROWS = 1024
+
+
+def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional[tuple]:
+    """env._step_loop's result for ctl on its own scenario, computed in one
+
+    loop over preallocated arrays, or None when a step before termination
+    would raise (non-finite or out-of-range control, non-finite state);
+    _step_loop then raises it.
+
+    Each step repeats the per-step loop's arithmetic, in its order: the
+    observation is assembled in place, each layer is np.matmul(w, a, out=)
+    plus the bias, which rounds like w @ a + b, the drain reuses the
+    observation's offsets users - q (squaring removes their sign), and the
+    move is q + (v * tau) * cos(theta) in Python floats, which is
+    step_kinematics element by element.
+    """
+    scn, layers = ctl.scn, ctl.layers
+    k, v_max, tau = scn.k, ctl.params.v_max, scn.tau
+    users, demands = scn.user_positions, scn.demands
+    # where=True, when every demand is positive, skips numpy's masked loop
+    has_demand = True if (demands > 0.0).all() else demands > 0.0
+    s, alt2, share = 2.0 / scn.area_side, scn.altitude**2, scn.bandwidth / k
+    eta, sigma2 = scn.eta, scn.sigma2
+
+    rows = min(t_max, TAPE_ROWS)
+    positions, backlogs = np.empty((rows + 1, 2)), np.empty((rows + 1, k))
+    controls, raws = np.empty((rows, 2)), np.empty((rows, k))  # raws: drained, before the clamp
+    positions[0], backlogs[0] = 0.0, demands
+    obs = np.zeros(2 + 3 * k)  # the backlog fraction of a zero demand stays 0
+    obs_q, obs_rel, obs_frac = obs[:2], obs[2 : 2 + 2 * k].reshape(k, 2), obs[2 + 2 * k :]
+    *hidden, (w_head, b_head) = layers
+    outs, head = [np.empty(b.shape) for _, b in hidden], np.empty(2)
+    off, sq, d2 = np.empty((k, 2)), np.empty((k, 2)), np.empty(k)
+    q0 = q1 = 0.0
+    terminated = None
+
+    with np.errstate(all="ignore"):  # the loop re-runs a failing tape and warns as it goes
+        for t in range(t_max):
+            if t == rows:  # the mission outlasted the buffers
+                rows = min(2 * rows, t_max)
+                positions, backlogs, controls, raws = (
+                    np.concatenate([a, np.empty((rows - t, a.shape[1]))])
+                    for a in (positions, backlogs, controls, raws)
+                )
+            q, d = positions[t], backlogs[t]
+            if float(d.sum()) < threshold:
+                terminated = t
+                break
+            np.multiply(q, s, out=obs_q)
+            np.subtract(users, q, out=off)
+            np.multiply(off, s, out=obs_rel)
+            np.divide(d, demands, out=obs_frac, where=has_demand)
+            a = obs
+            for (w, b), out in zip(hidden, outs):
+                np.matmul(w, a, out=out)
+                out += b
+                a = np.tanh(out, out=out)
+            np.matmul(w_head, a, out=head)
+            head += b_head
+            z0, theta = head.tolist()
+            v = v_max * _sigmoid(z0)
+            if not (0.0 <= v <= v_max and math.isfinite(theta)):
+                return None  # math.cos(inf) would raise
+            # rates(q) * tau, as rates orders it
+            np.multiply(off, off, out=sq)
+            np.add(sq[:, 0], sq[:, 1], out=d2)
+            d2 += alt2
+            d2 *= sigma2
+            np.divide(eta, d2, out=d2)
+            d2 += 1.0
+            np.log2(d2, out=d2)
+            d2 *= share
+            d2 *= tau
+            np.subtract(d, d2, out=raws[t])
+            np.maximum(0.0, raws[t], out=backlogs[t + 1])
+            step = v * tau
+            q0 += step * math.cos(theta)
+            q1 += step * math.sin(theta)
+            positions[t + 1] = q0, q1
+            controls[t] = v, theta
+        else:
+            if float(backlogs[t_max].sum()) < threshold:
+                terminated = t_max
+
+    n = t_max if terminated is None else terminated
+    # one check over the finished tape: the loop raises at the first
+    # non-finite row it makes, and it makes every row of the tape
+    if not (np.isfinite(positions[: n + 1]).all() and np.isfinite(backlogs[: n + 1]).all()):
+        return None
+    # copies: a short mission must not keep the whole buffers alive
+    masks = (raws[:n] > 0.0).astype(np.float64)
+    return positions[: n + 1].copy(), backlogs[: n + 1].copy(), controls[:n].copy(), masks, terminated
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from aavtraj import TrainingError, TrainingLog, generate_scenario, load_checkpoint, save_scenario
+from aavtraj import trainer as trainer_mod
+from aavtraj import NumericFailure, TrainingError, TrainingLog, generate_scenario, load_checkpoint, save_scenario
 from aavtraj.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 # column lists as the README documents them
@@ -76,6 +77,27 @@ class TestTrain:
             blobs[tag] = (out / "checkpoint.json").read_bytes()
         assert blobs["a"] == blobs["c"]
         assert blobs["a"] != blobs["b"]
+
+    def test_summary_reports_a_retry(self, tmp_path, monkeypatch, capsys):
+        real, rates = trainer_mod._train_once, []
+
+        def fail_first(scn, cfg, lr):
+            rates.append(lr)
+            if len(rates) == 1:
+                raise NumericFailure(0, "state")
+            return real(scn, cfg, lr)
+
+        cfg = write_json(tmp_path, "train.json", TRAIN_CONFIG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "plain")]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert plain.startswith("trained 3 iterations (") and plain.endswith(")\n")
+        assert "retried" not in plain
+        monkeypatch.setattr(trainer_mod, "_train_once", fail_first)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "retry")]) == EXIT_OK
+        assert rates == [1e-3, 5e-4]
+        retried = capsys.readouterr().out
+        assert retried.startswith("trained 3 iterations (")
+        assert retried.endswith("); retried at learning_rate=0.0005\n")
 
     def test_missing_config_exit2(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

@@ -4,6 +4,7 @@ Expected values are hand derivations of the closed-form expressions,
 not captured outputs of the code under test.
 """
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from aavtraj import (
     rollout,
     save_scenario,
 )
-from aavtraj import env
+from aavtraj import PolicyController, env, init_params, policy
 from aavtraj.env import (
     OPEN_LOOP_SEGMENT,
     initial_state,
@@ -348,10 +349,14 @@ def outcome(run):
             traj.completion_step, traj.terminated_step)
 
 
-def replay_and_loop(controls, scn, t_max, stop_eps=1e-3):
-    ctl = SequenceController(controls)
+def array_and_loop(ctl, scn, t_max, stop_eps=1e-3):
+    """The outcomes of rollout on ctl itself and on a plain callable around it."""
     return (outcome(lambda: rollout(ctl, scn, t_max, stop_eps)),
             outcome(lambda: rollout(stepped(ctl), scn, t_max, stop_eps)))
+
+
+def replay_and_loop(controls, scn, t_max, stop_eps=1e-3):
+    return array_and_loop(SequenceController(controls), scn, t_max, stop_eps)
 
 
 @st.composite
@@ -474,6 +479,145 @@ class TestReplay:
         assert replayed == stepped_tape
         if long:
             assert replayed[:2] == (ScenarioError, f"control sequence exhausted at step {length}")
+
+
+def long_preset():
+    return generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
+
+
+def controller(scn, hidden=(64, 64, 32), seed=0, scale=1.0, entry=None):
+    """A PolicyController of seeded weights times scale; entry = (index, value) sets one parameter."""
+    params = init_params(seed, scn.k, hidden=hidden, v_max=scn.v_max)
+    flat = params.flat * scale
+    if entry is not None:
+        flat[entry[0]] = entry[1]
+    return PolicyController(replace(params, flat=flat), scn)
+
+
+@st.composite
+def policy_cases(draw):
+    k = draw(st.integers(1, 10))
+    long = draw(st.booleans())
+    scn = generate_scenario(draw(st.integers(0, 2**16)), k=k,
+                            demand_lo=20.0 if long else 0.5, demand_hi=40.0 if long else 1.0)
+    zero = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    scn = replace(scn, demands=np.where(zero, 0.0, scn.demands), tau=draw(st.sampled_from([1.0, 0.7])),
+                  bandwidth=draw(st.sampled_from([float(k), 3.7])))
+    ctl = controller(scn, hidden=draw(st.sampled_from([(), (8,), (64, 64, 32)])),
+                     seed=draw(st.integers(0, 2**16)), scale=draw(st.sampled_from([0.3, 1.0, 3.0])))
+    return ctl, scn, draw(st.integers(1, 200))
+
+
+class TestPolicyTape:
+    """A PolicyController's tape is computed in one loop over preallocated
+
+    arrays; the step loop, reached through a plain callable, is the oracle.
+    """
+
+    @given(case=policy_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_tape_equals_step_loop_bytes(self, case):
+        ctl, scn, t_max = case
+        fast, stepped_tape = array_and_loop(ctl, scn, t_max)
+        assert fast == stepped_tape
+        # the array path itself produced it, not a fallback to the loop
+        assert policy.policy_tape(ctl, t_max, 1e-3 * scn.k) is not None
+
+    def test_does_not_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("step() called")
+
+        monkeypatch.setattr(env, "step", no_step)
+        scn = long_preset()
+        assert rollout(controller(scn), scn, 500, 1e-3).steps > 20
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    def test_buffers_grow_past_their_first_rows(self, monkeypatch, rows):
+        monkeypatch.setattr(policy, "TAPE_ROWS", rows)
+        scn = long_preset()
+        for t_max in (1, rows, rows + 1, 2 * rows + 1, 60):
+            fast, stepped_tape = array_and_loop(controller(scn), scn, t_max)
+            assert fast == stepped_tape and fast[2] is None
+
+    def test_huge_horizon_with_a_short_mission(self):
+        scn = generate_scenario(0, k=4)
+        fast, stepped_tape = array_and_loop(controller(scn), scn, 10**12)
+        assert fast == stepped_tape and fast[2] < 10
+
+    def test_tape_arrays_own_their_data(self):
+        scn = generate_scenario(0, k=4)
+        traj = rollout(controller(scn), scn, 500, 1e-3)
+        assert traj.steps < 10
+        for a in (traj.positions, traj.backlogs, traj.controls, traj.active_masks):
+            assert a.base is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["first_weight", "heading_bias"])
+    def test_non_finite_parameter_raises_like_the_loop(self, where, value):
+        # the first weight meets the origin's 0.0 position (inf * 0 is nan)
+        scn = long_preset()
+        ctl = controller(scn, entry=({"first_weight": 0, "heading_bias": -1}[where], value))
+        fast, stepped_tape = array_and_loop(ctl, scn, 40)
+        assert fast == stepped_tape
+        assert fast == (NumericFailure, "non-finite value at step 0 (control)", 0, "control")
+
+    def test_saturated_speed_head_gives_the_loop_tape(self):
+        # an infinite speed bias saturates the sigmoid: v = v_max, nothing raises
+        scn = long_preset()
+        ctl = controller(scn, entry=(-2, math.inf))
+        fast, stepped_tape = array_and_loop(ctl, scn, 40)
+        assert fast == stepped_tape
+        assert np.all(rollout(ctl, scn, 40, 1e-3).controls[:, 0] == scn.v_max)
+
+    @pytest.mark.parametrize("t_max", [4, 5, 20])
+    def test_non_finite_state_raises_like_the_loop(self, t_max):
+        # the position overflows on step 4, the last step of a 5-step horizon
+        scn = unit_scn([[0.0, 0.0]], [50.0], v_max=1e308)
+        with np.errstate(over="ignore"):
+            fast, stepped_tape = array_and_loop(controller(scn, hidden=(8,)), scn, t_max)
+        assert fast == stepped_tape
+        if t_max > 4:
+            assert fast == (NumericFailure, "non-finite value at step 4 (state)", 4, "state")
+
+    def test_exact_zero_backlog_counts_as_clamped(self):
+        # a -inf speed bias hovers at the origin, over a user draining exactly 1.0 per slot
+        scn = unit_scn([[0.0, 0.0], [3.0, 0.0]], [2.0, 30.0])
+        ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
+        fast, stepped_tape = array_and_loop(ctl, scn, 6)
+        assert fast == stepped_tape
+        traj = rollout(ctl, scn, 6, 1e-3)
+        assert np.all(traj.controls[:, 0] == 0.0)
+        assert traj.backlogs[2, 0] == 0.0 and traj.active_masks[:, 0].tolist() == [1, 0, 0, 0, 0, 0]
+
+    def test_warnings_are_the_loop_warnings(self):
+        scn = long_preset()
+        ctl = controller(scn, entry=(0, math.inf))
+
+        def warned(run):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericFailure):
+                    run()
+            return [(w.category, str(w.message)) for w in seen]
+
+        loop_warnings = warned(lambda: rollout(stepped(ctl), scn, 40, 1e-3))
+        assert loop_warnings
+        assert warned(lambda: rollout(ctl, scn, 40, 1e-3)) == loop_warnings
+
+    def test_other_control_sources_take_the_loop(self, monkeypatch):
+        def no_array_path(*args):
+            raise AssertionError("policy_tape() called")
+
+        class Subclass(PolicyController):
+            pass
+
+        scn = generate_scenario(0, k=4)
+        ctl = controller(scn)
+        want = outcome(lambda: rollout(ctl, scn, 50, 1e-3))
+        monkeypatch.setattr(policy, "policy_tape", no_array_path)
+        # a controller built on an equal copy of the scenario observes that copy
+        for source in (Subclass(ctl.params, scn), stepped(ctl), PolicyController(ctl.params, replace(scn))):
+            assert outcome(lambda: rollout(source, scn, 50, 1e-3)) == want
 
 
 class TestScenario:

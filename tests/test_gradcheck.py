@@ -101,6 +101,26 @@ class TestFdHarness:
         assert len(idx) == 12 and len(set(idx)) == 12
         assert idx == [r.param_index for r in b.rows]
 
+    def test_empty_indices_rejected(self):
+        # checking nothing must not report a pass
+        with pytest.raises(ScenarioError, match=r"at least one parameter, got \[\]"):
+            run_gradcheck(k=1, horizon=8, seed=0, hidden=(8,), indices=[])
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "3"])
+    def test_non_integer_index_rejected(self, bad):
+        with pytest.raises(ScenarioError, match=f"parameter index {bad!r} is not an integer"):
+            run_gradcheck(k=1, horizon=8, seed=0, hidden=(8,), indices=[0, bad])
+
+    @pytest.mark.parametrize("bad", [-1, 66, 10**6])
+    def test_out_of_range_index_rejected(self, bad):
+        # k=1 with hidden (8,) has 5*8 + 8 + 8*2 + 2 = 66 parameters
+        with pytest.raises(ScenarioError, match=rf"parameter index {bad} outside \[0, 66\)"):
+            run_gradcheck(k=1, horizon=8, seed=0, hidden=(8,), indices=[bad])
+
+    def test_numpy_integer_indices_accepted(self):
+        report = run_gradcheck(k=1, horizon=8, seed=0, hidden=(8,), indices=np.array([0, 65]))
+        assert [r.param_index for r in report.rows] == [0, 65]
+
     def test_coarse_step_fails(self):
         # truncation error at h = 0.1 dwarfs the tolerance; the check must
         # reject rather than paper over a bad step size
