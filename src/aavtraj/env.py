@@ -168,9 +168,24 @@ def rates(q: np.ndarray, scn: Scenario) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     diff = q[..., None, :] - scn.user_positions
-    d2 = (diff * diff).sum(axis=-1)
-    snr = scn.eta / ((d2 + scn.altitude**2) * scn.sigma2)
-    return (scn.bandwidth / scn.k) * np.log2(1.0 + snr)
+    return rates_of_offsets(diff, scn, np.empty(diff.shape[:-1]))
+
+
+def rates_of_offsets(off: np.ndarray, scn: Scenario, out: np.ndarray) -> np.ndarray:
+    """rates at the vehicle-to-user offsets off (..., K, 2), of either sign,
+
+    written into out (..., K) and returned; off is overwritten with its
+    squares. Two-term sums add like .sum(axis=-1).
+    """
+    np.multiply(off, off, out=off)
+    np.add(off[..., 0], off[..., 1], out=out)
+    out += scn.altitude**2
+    out *= scn.sigma2
+    np.divide(scn.eta, out, out=out)
+    out += 1.0
+    np.log2(out, out=out)
+    out *= scn.bandwidth / scn.k
+    return out
 
 
 def rate(q: np.ndarray, i: int, scn: Scenario) -> float:
@@ -204,7 +219,13 @@ def step_kinematics(q: np.ndarray, u: Control, scn: Scenario) -> np.ndarray:
     if not 0.0 <= u.v <= scn.v_max:
         raise ScenarioError(f"speed {u.v} outside [0, {scn.v_max}]")
     q = np.asarray(q, dtype=np.float64).reshape(2)
-    return q + u.v * scn.tau * np.array([math.cos(u.theta), math.sin(u.theta)])
+    return q + np.array(move(u.v, u.theta, scn.tau))
+
+
+def move(v: float, theta: float, tau: float) -> tuple[float, float]:
+    """The displacement of one slot at speed v and heading theta, in Python floats."""
+    step = v * tau
+    return step * math.cos(theta), step * math.sin(theta)
 
 
 def step_tasks(d: np.ndarray, q: np.ndarray, scn: Scenario) -> tuple[np.ndarray, np.ndarray]:

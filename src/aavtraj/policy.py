@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State
+from .env import Control, Scenario, ScenarioError, State, move, rates_of_offsets
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -101,16 +101,40 @@ def unpack(params: PolicyParams) -> list:
 # ---------------------------------------------------------------------------
 
 
+class ObservationBuffer:
+    """Preallocated observations for positions (*batch, 2) and backlogs
+
+    (*batch, K): fill writes them into .out (*batch, 2 + 3K) and leaves the
+    offsets w_i - q in .off (*batch, K, 2). The layout is the position and
+    the K offsets scaled by 2/area_side, then the backlogs over their
+    demands, 0 for a zero demand (out starts at zero and those entries are
+    never written).
+    """
+
+    def __init__(self, scn: Scenario, batch: tuple = ()):
+        k = scn.k
+        self.out = np.zeros((*batch, 2 + 3 * k))
+        self.off = np.empty((*batch, k, 2))
+        self._q, self._rel, self._frac = (self.out[..., :2], self.out[..., 2 : 2 + 2 * k],
+                                          self.out[..., 2 + 2 * k :])
+        self._off_flat = self.off.reshape(*batch, 2 * k)
+        self._s, self._users, self._demands = 2.0 / scn.area_side, scn.user_positions, scn.demands
+        self._has_demand = scn.demands > 0.0
+
+    def fill(self, positions: np.ndarray, backlogs: np.ndarray) -> np.ndarray:
+        np.multiply(positions, self._s, out=self._q)
+        np.subtract(self._users, positions[..., None, :], out=self.off)
+        np.multiply(self._off_flat, self._s, out=self._rel)
+        np.divide(backlogs, self._demands, out=self._frac, where=self._has_demand)
+        return self.out
+
+
 def observations(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
     """Normalized observations at positions (..., 2) and backlogs (..., K), as
 
-    (..., 2 + 3K): the position and the K user offsets w_i - q scaled by
-    2/area_side, then backlogs over their demands (0 for a zero demand).
+    (..., 2 + 3K), laid out as ObservationBuffer describes.
     """
-    s = 2.0 / scn.area_side
-    rel = (scn.user_positions - positions[..., None, :]) * s
-    frac = np.divide(backlogs, scn.demands, out=np.zeros(backlogs.shape), where=scn.demands > 0.0)
-    return np.concatenate([positions * s, rel.reshape(*positions.shape[:-1], -1), frac], axis=-1)
+    return ObservationBuffer(scn, positions.shape[:-1]).fill(positions, backlogs)
 
 
 def observe(x: State, scn: Scenario) -> np.ndarray:
@@ -262,29 +286,23 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
     _step_loop then raises it.
 
     Each step repeats the per-step loop's arithmetic, in its order: the
-    observation is assembled in place, each layer is np.matmul(w, a, out=)
-    plus the bias, which rounds like w @ a + b, the drain reuses the
-    observation's offsets users - q (squaring removes their sign), and the
-    move is q + (v * tau) * cos(theta) in Python floats, which is
-    step_kinematics element by element.
+    observation is assembled in place (ObservationBuffer), each layer is
+    np.matmul(w, a, out=) plus the bias, which rounds like w @ a + b, the
+    drain is env.rates_of_offsets of the observation's offsets, and the
+    move is env.move added in Python floats, which is step_kinematics
+    element by element.
     """
     scn, layers = ctl.scn, ctl.layers
     k, v_max, tau = scn.k, ctl.params.v_max, scn.tau
-    users, demands = scn.user_positions, scn.demands
-    # where=True, when every demand is positive, skips numpy's masked loop
-    has_demand = True if (demands > 0.0).all() else demands > 0.0
-    s, alt2, share = 2.0 / scn.area_side, scn.altitude**2, scn.bandwidth / k
-    eta, sigma2 = scn.eta, scn.sigma2
 
     rows = min(t_max, TAPE_ROWS)
     positions, backlogs = np.empty((rows + 1, 2)), np.empty((rows + 1, k))
     controls, raws = np.empty((rows, 2)), np.empty((rows, k))  # raws: drained, before the clamp
-    positions[0], backlogs[0] = 0.0, demands
-    obs = np.zeros(2 + 3 * k)  # the backlog fraction of a zero demand stays 0
-    obs_q, obs_rel, obs_frac = obs[:2], obs[2 : 2 + 2 * k].reshape(k, 2), obs[2 + 2 * k :]
+    positions[0], backlogs[0] = 0.0, scn.demands
+    observer = ObservationBuffer(scn)
     *hidden, (w_head, b_head) = layers
     outs, head = [np.empty(b.shape) for _, b in hidden], np.empty(2)
-    off, sq, d2 = np.empty((k, 2)), np.empty((k, 2)), np.empty(k)
+    drain = np.empty(k)
     q0 = q1 = 0.0
     terminated = None
 
@@ -300,11 +318,7 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
             if float(d.sum()) < threshold:
                 terminated = t
                 break
-            np.multiply(q, s, out=obs_q)
-            np.subtract(users, q, out=off)
-            np.multiply(off, s, out=obs_rel)
-            np.divide(d, demands, out=obs_frac, where=has_demand)
-            a = obs
+            a = observer.fill(q, d)
             for (w, b), out in zip(hidden, outs):
                 np.matmul(w, a, out=out)
                 out += b
@@ -315,21 +329,13 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
             v = v_max * _sigmoid(z0)
             if not (0.0 <= v <= v_max and math.isfinite(theta)):
                 return None  # math.cos(inf) would raise
-            # rates(q) * tau, as rates orders it
-            np.multiply(off, off, out=sq)
-            np.add(sq[:, 0], sq[:, 1], out=d2)
-            d2 += alt2
-            d2 *= sigma2
-            np.divide(eta, d2, out=d2)
-            d2 += 1.0
-            np.log2(d2, out=d2)
-            d2 *= share
-            d2 *= tau
-            np.subtract(d, d2, out=raws[t])
+            rates_of_offsets(observer.off, scn, drain)  # the offsets' sign squares away
+            drain *= tau
+            np.subtract(d, drain, out=raws[t])
             np.maximum(0.0, raws[t], out=backlogs[t + 1])
-            step = v * tau
-            q0 += step * math.cos(theta)
-            q1 += step * math.sin(theta)
+            dq0, dq1 = move(v, theta, tau)
+            q0 += dq0
+            q1 += dq1
             positions[t + 1] = q0, q1
             controls[t] = v, theta
         else:

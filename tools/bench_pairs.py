@@ -2,16 +2,17 @@
 on the working tree, alternately, and summarise the end-to-end metrics.
 
     python3 tools/bench_pairs.py --against REV --out BENCH_<pr>.json \\
-        train-long:0:10 train-long:7:3 ga-long:0:2 sweep-default:0:2
+        train-long:0 train-long:7 ga-long:0 sweep-default:0
 
-Each case is WORKLOAD:SEED[:PAIRS] (PAIRS defaults to --pairs). REV is
-extracted with `git archive` into a temporary directory; the working tree
-is the checkout this script lives in, uncommitted edits included. Pair i
-runs the parent first when i is even and the change first when it is
-odd, so a slow drift of the host loads both sides alike. The output holds
-every run's result line and, per case and end-to-end metric (as listed in
-BENCHMARK.json), each side's median and quartiles and the number of pairs
-the change won. It is a report, not a gate. Standard library only.
+Each case is WORKLOAD:SEED and runs PAIRS = 10 pairs, every run as long
+as BENCHMARK.json's run_seconds. REV is extracted with `git archive` into
+a temporary directory; the working tree is the checkout this script lives
+in, uncommitted edits included. Pair i runs the parent first when i is
+even and the change first when it is odd, so a slow drift of the host
+loads both sides alike. The output holds every run's result line and,
+per case and end-to-end metric (as listed in BENCHMARK.json), each side's
+median and quartiles and the number of pairs the change won. It is a
+report, not a gate. Standard library only.
 """
 import argparse
 import io
@@ -26,19 +27,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def parse_case(text: str, pairs: int) -> tuple:
+def parse_case(text: str) -> tuple:
     parts = text.split(":")
-    if len(parts) not in (2, 3) or not all(parts):
-        raise argparse.ArgumentTypeError(f"case {text!r} is not WORKLOAD:SEED[:PAIRS]")
+    if len(parts) != 2 or not all(parts):
+        raise argparse.ArgumentTypeError(f"case {text!r} is not WORKLOAD:SEED")
     try:
-        seed, n = int(parts[1]), int(parts[2]) if len(parts) == 3 else pairs
+        seed = int(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"case {text!r}: SEED and PAIRS must be integers") from None
-    if seed < 0 or n < 1:
-        raise argparse.ArgumentTypeError(f"case {text!r}: need SEED >= 0 and PAIRS >= 1")
-    return parts[0], seed, n
+        raise argparse.ArgumentTypeError(f"case {text!r}: SEED must be an integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"case {text!r}: need SEED >= 0")
+    return parts[0], seed
 
 
 def extract(rev: str, into: Path) -> str:
@@ -113,24 +115,21 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--against", required=True, help="git revision of the parent side")
     p.add_argument("--out", required=True, help="JSON file to write, such as BENCH_7.json")
-    p.add_argument("--pairs", type=int, default=10, help="pairs for a case without its own count")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="measuring time per run (default: BENCHMARK.json's run_seconds)")
-    p.add_argument("cases", nargs="+", help="WORKLOAD:SEED[:PAIRS]")
+    p.add_argument("cases", nargs="+", help="WORKLOAD:SEED")
     args = p.parse_args(argv)
     try:
-        cases = [parse_case(c, args.pairs) for c in args.cases]
+        cases = [parse_case(c) for c in args.cases]
     except argparse.ArgumentTypeError as exc:
         p.error(str(exc))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_sha = extract(args.against, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
-        for workload, seed, n in cases:
-            for pair in range(n):
+        for workload, seed in cases:
+            for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     t0 = time.time()
                     result = run_once(trees[side], workload, seed, seconds)
