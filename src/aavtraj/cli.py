@@ -193,9 +193,10 @@ def cmd_baseline(args) -> int:
                                    "seed": args.seed if args.seed is not None else 0}, **config})
         except TypeError as exc:
             raise UsageError(f"bad GA config: {exc}") from exc
-        best, fitness_log = ga_optimize(scn, gacfg)
-        write_csv(os.path.join(out, "fitness_log.csv"), ("generation", "best_fitness"),
-                  enumerate(fitness_log))
+        elapsed_ms: list = []
+        best, fitness_log = ga_optimize(scn, gacfg, timing_ms=elapsed_ms)
+        write_csv(os.path.join(out, "fitness_log.csv"), ("generation", "best_fitness", "elapsed_ms"),
+                  zip(range(len(fitness_log)), fitness_log, elapsed_ms))
         traj = rollout(SequenceController(best), scn, gacfg.chromosome_length, gacfg.stop_eps)
     metrics = mission_metrics(traj, scn, t_max)
     _write_mission_csvs(traj, metrics, out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -254,7 +254,10 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
 
 
 class PolicyController:
-    """Adapter giving the rollout loop a (t, state) -> Control callable; unpacks the layers once."""
+    """Adapter giving the rollout loop a (t, state) -> Control callable; unpacks
+
+    the layers and allocates the observation buffer once.
+    """
 
     def __init__(self, params: PolicyParams, scn: Scenario):
         if params.spec.k != scn.k:
@@ -268,9 +271,29 @@ class PolicyController:
         self.params = params
         self.scn = scn
         self.layers = unpack(params)
+        self.observer = ObservationBuffer(scn)
 
     def __call__(self, t: int, x: State) -> Control:
-        return _control(activations(self.layers, observe(x, self.scn))[-1], self.params.v_max)
+        obs = self.observer.fill(x.q, x.d)
+        return _control(activations(self.layers, obs)[-1], self.params.v_max)
+
+    def check_scenario(self, scn: Scenario) -> None:
+        """Raise ScenarioError unless scn is the scenario the controller was
+
+        built for or an equal copy of it (the seed, a label, aside): the
+        controller observes its own scenario's users and demands.
+        """
+        own = self.scn
+        if scn is own:
+            return
+        if scn.k != own.k:
+            raise ScenarioError(f"policy built for a K={own.k} scenario cannot run on a K={scn.k} scenario")
+        for f in fields(Scenario):
+            a, b = getattr(own, f.name), getattr(scn, f.name)
+            if f.name != "seed" and not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                raise ScenarioError(
+                    f"policy built for another scenario: its {f.name} differs from the rollout's"
+                )
 
 
 # Rows the closed-loop tape buffers start with; a longer mission doubles them,
@@ -299,7 +322,7 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
     positions, backlogs = np.empty((rows + 1, 2)), np.empty((rows + 1, k))
     controls, raws = np.empty((rows, 2)), np.empty((rows, k))  # raws: drained, before the clamp
     positions[0], backlogs[0] = 0.0, scn.demands
-    observer = ObservationBuffer(scn)
+    observer = ctl.observer
     *hidden, (w_head, b_head) = layers
     outs, head = [np.empty(b.shape) for _, b in hidden], np.empty(2)
     drain = np.empty(k)

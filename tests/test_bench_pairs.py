@@ -1,6 +1,7 @@
 """The pairs report of tools/bench_pairs.py, on canned run records."""
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,33 @@ def test_parse_case(text, want):
 def test_parse_case_rejects(text):
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.parse_case(text)
+
+
+def write_bench(path, case, change_median):
+    summary = {case: {"pairs": 10, "wall_rel": {"change": {"median": change_median}}}}
+    path.write_text(json.dumps({"summary": summary}))
+
+
+def test_newest_earlier_report_is_the_largest_lower_number(tmp_path):
+    for n in (2, 7, 10, 11):
+        write_bench(tmp_path / f"BENCH_{n}.json", "train-long:0", float(n))
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    assert bench_pairs.newest_earlier(tmp_path / "BENCH_10.json") == tmp_path / "BENCH_7.json"
+    assert bench_pairs.newest_earlier(tmp_path / "BENCH_3.json") == tmp_path / "BENCH_2.json"
+    assert bench_pairs.newest_earlier(tmp_path / "BENCH_2.json") is None
+    assert bench_pairs.newest_earlier(tmp_path / "pairs.json") == tmp_path / "BENCH_11.json"
+    assert bench_pairs.newest_earlier(tmp_path / "sub" / "BENCH_12.json") is None
+
+
+def test_previous_change_median_sits_beside_the_parent_median(tmp_path):
+    write_bench(tmp_path / "BENCH_7.json", "train-long:0", 8.0)
+    runs = [run(0, "parent", 10.0, score=1.0), run(0, "change", 5.0, score=2.0),
+            run(0, "parent", 9.0, seed=7), run(0, "change", 9.5, seed=7)]
+    summary = bench_pairs.summarize(runs, METRICS)
+    previous = bench_pairs.newest_earlier(tmp_path / "BENCH_8.json")
+    bench_pairs.add_previous(summary, json.loads(previous.read_text()), previous.name)
+    wall = summary["train-long:0"]["wall_rel"]
+    assert wall["previous"] == {"file": "BENCH_7.json", "change_median": 8.0, "parent_rel": pytest.approx(0.25)}
+    # a case or metric the earlier report lacks gets no entry
+    assert "previous" not in summary["train-long:0"]["score"]
+    assert "previous" not in summary["train-long:7"]["wall_rel"]

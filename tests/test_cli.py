@@ -260,10 +260,12 @@ class TestBaseline:
                      "--config", cfg, "--seed", "5", "--t-max", "30", "--out", str(out)])
         assert code == EXIT_OK
         rows = read_rows(out / "fitness_log.csv")
-        assert list(rows[0]) == ["generation", "best_fitness"]
+        assert list(rows[0]) == ["generation", "best_fitness", "elapsed_ms"]
         assert [int(r["generation"]) for r in rows] == [0, 1, 2, 3, 4]
         fits = [float(r["best_fitness"]) for r in rows]
         assert fits == sorted(fits)  # best-so-far never regresses
+        elapsed = [float(r["elapsed_ms"]) for r in rows]
+        assert elapsed == sorted(elapsed) and elapsed[0] >= 0.0  # cumulative wall clock
 
     def test_unknown_method_exit2(self, tmp_path, scenario_path):
         code = main(["baseline", "--method", "bfs", "--scenario", scenario_path,

@@ -1,5 +1,6 @@
 """Policy network: layout, init, observation encoding, forward, manual VJP."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,45 @@ class TestController:
         u = ctl(0, x)
         ref = forward(params, observe(x, scn))
         assert u.v == ref.v and u.theta == ref.theta
+
+    def test_calls_with_one_buffer_match_fresh_observations(self):
+        # the controller refills one observation buffer; a zero-demand user's entry stays 0
+        scn = generate_scenario(3, k=4)
+        scn = replace(scn, demands=np.where([True, False, True, True], scn.demands, 0.0))
+        params = init_params(3, k=4)
+        ctl = PolicyController(params, scn)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            x = State(q=rng.uniform(-5.0, 5.0, 2), d=scn.demands * rng.uniform(0.0, 1.0, 4))
+            u, ref = ctl(0, x), forward(params, observe(x, scn))
+            assert (u.v, u.theta) == (ref.v, ref.theta)
+
+    def test_rollout_rejects_a_controller_built_for_another_scenario(self):
+        params = init_params(0, k=4)
+        own, other = generate_scenario(0, k=4), generate_scenario(1, k=4)
+
+        class Subclass(PolicyController):
+            pass
+
+        for ctl in (PolicyController(params, own), Subclass(params, own)):
+            with pytest.raises(ScenarioError, match="its user_positions differs"):
+                rollout(ctl, other, 50, 1e-3)
+        with pytest.raises(ScenarioError, match="its demands differs"):
+            rollout(PolicyController(params, own), replace(own, demands=own.demands * 2.0), 50, 1e-3)
+
+    def test_rollout_rejects_a_controller_built_for_another_k(self):
+        ctl = PolicyController(init_params(0, k=4), generate_scenario(0, k=4))
+        with pytest.raises(ScenarioError, match="K=4 scenario cannot run on a K=2 scenario"):
+            rollout(ctl, generate_scenario(0, k=2), 50, 1e-3)
+
+    def test_rollout_accepts_an_equal_copy_of_the_scenario(self):
+        scn = generate_scenario(0, k=4)
+        params = init_params(0, k=4)
+        want = rollout(PolicyController(params, scn), scn, 50, 1e-3)
+        for copy in (replace(scn), replace(scn, seed=None)):
+            got = rollout(PolicyController(params, copy), scn, 50, 1e-3)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.backlogs.tobytes() == want.backlogs.tobytes()
 
     def test_batched_forward_over_tape_matches_per_step(self):
         scn = generate_scenario(2, k=3, demand_lo=5.0, demand_hi=6.0)

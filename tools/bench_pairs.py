@@ -11,12 +11,16 @@ in, uncommitted edits included. Pair i runs the parent first when i is
 even and the change first when it is odd, so a slow drift of the host
 loads both sides alike. The output holds every run's result line and,
 per case and end-to-end metric (as listed in BENCHMARK.json), each side's
-median and quartiles and the number of pairs the change won. It is a
-report, not a gate. Standard library only.
+median and quartiles and the number of pairs the change won. Beside the
+parent's median it puts the change-side median that the newest earlier
+BENCH_<n>.json in the output's directory recorded for the same case and
+metric, so drift across revisions and hosts shows. It is a report, not a
+gate. Standard library only.
 """
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -111,6 +115,41 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def bench_number(path: Path):
+    """n of a file named BENCH_<n>.json, else None."""
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(match.group(1)) if match else None
+
+
+def newest_earlier(out: Path):
+    """The BENCH_<n>.json beside out with the largest n below out's own (any n
+
+    when out is not so named), or None.
+    """
+    own = bench_number(out)
+    found = [(n, p) for p in out.parent.glob("BENCH_*.json")
+             if (n := bench_number(p)) is not None and (own is None or n < own)]
+    return max(found)[1] if found else None
+
+
+def add_previous(summary: dict, previous: dict, name: str) -> None:
+    """Give each case's metric of summary that the earlier report previous
+
+    (named name) also holds a "previous" entry: that report's change-side
+    median and this run's parent median relative to it.
+    """
+    for key, case in summary.items():
+        for metric, entry in case.items():
+            old = previous.get("summary", {}).get(key, {}).get(metric)
+            if not isinstance(entry, dict) or not old:
+                continue
+            median = old["change"]["median"]
+            entry["previous"] = {
+                "file": name, "change_median": median,
+                "parent_rel": entry["parent"]["median"] / median - 1.0 if median else None,
+            }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--against", required=True, help="git revision of the parent side")
@@ -139,10 +178,14 @@ def main(argv=None) -> int:
                     print(f"{workload}:{seed} pair {pair} {side}: {wall} "
                           f"correct={result.get('correct')} ({time.time() - t0:.0f} s)", flush=True)
 
+    summary = summarize(runs, bench["end_to_end"])
+    previous = newest_earlier(Path(args.out))
+    if previous is not None:
+        add_previous(summary, json.loads(previous.read_text()), previous.name)
     record = {
         "against": args.against, "parent_sha": parent_sha, "seconds": seconds,
         "command": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
-        "summary": summarize(runs, bench["end_to_end"]), "runs": runs,
+        "summary": summary, "runs": runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(record["summary"], indent=1))
