@@ -11,6 +11,7 @@ gradient match finite differences of the training objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .env import (
     State,
     TrajectoryRecord,
     rate_gradients,
+    rate_gradients_of_offsets,
     stage_cost,
     step,
 )
@@ -34,6 +36,7 @@ from .policy import (
     observations,
     observe,
     pullback,
+    tanh_derivatives,
     unpack,
     vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
 )
@@ -50,13 +53,18 @@ def state_jacobians(positions: np.ndarray, masks: np.ndarray, scn: Scenario) -> 
     are zero, active backlog rows couple to position through the rate
     gradient at the pre-step position.
     """
+    return _state_jacobians(masks, rate_gradients(positions, scn), scn)
+
+
+def _state_jacobians(masks: np.ndarray, rate_grads: np.ndarray, scn: Scenario) -> np.ndarray:
+    """state_jacobians from the rate gradients (T, K, 2) at the pre-step positions."""
     t_len, k = masks.shape
-    jac = np.zeros((t_len, 2 + k, 2 + k))
-    jac[:, 0, 0] = 1.0
-    jac[:, 1, 1] = 1.0
-    jac[:, 2:, :2] = -masks[:, :, None] * scn.tau * rate_gradients(positions, scn)
-    users = np.arange(2, 2 + k)
-    jac[:, users, users] = masks
+    n = 2 + k
+    jac = np.zeros((t_len, n, n))
+    flat = jac.reshape(t_len, n * n)
+    flat[:, : 2 * n : n + 1] = 1.0  # the position rows
+    flat[:, 2 * (n + 1) :: n + 1] = masks  # the backlog rows' diagonal
+    np.multiply((-masks * scn.tau)[:, :, None], rate_grads, out=jac[:, 2:, :2])
     return jac
 
 
@@ -64,15 +72,20 @@ def control_jacobians(controls: np.ndarray, scn: Scenario) -> np.ndarray:
     """d next_state / d control of every (v, theta) row of controls, as
 
     (T, 2+K, 2); backlog rows are zero because the drain rate uses the
-    pre-step position.
+    pre-step position. The entries are tau * (cos, sin) and, for the
+    heading, (-v * tau * sin, v * tau * cos), multiplied out left to right.
     """
     v, theta = controls[:, 0], controls[:, 1]
     c, s = np.cos(theta), np.sin(theta)
     jac = np.zeros((controls.shape[0], 2 + scn.k, 2))
-    jac[:, 0, 0] = scn.tau * c
-    jac[:, 1, 0] = scn.tau * s
-    jac[:, 0, 1] = -v * scn.tau * s
-    jac[:, 1, 1] = v * scn.tau * c
+    tau = scn.tau
+    np.multiply(c, tau, out=jac[:, 0, 0])
+    np.multiply(s, tau, out=jac[:, 1, 0])
+    vt = v * tau
+    np.multiply(vt, c, out=jac[:, 1, 1])
+    np.negative(v, out=vt)
+    vt *= tau
+    np.multiply(vt, s, out=jac[:, 0, 1])
     return jac
 
 
@@ -82,15 +95,21 @@ def cost_gradients(positions: np.ndarray, scn: Scenario) -> np.ndarray:
     (N, 2), as (N, 2+K); the distance term takes the zero subgradient
     when the vehicle sits exactly on a user.
     """
-    grad = np.zeros((positions.shape[0], 2 + scn.k))
+    diff = positions[:, None, :] - scn.user_positions
+    return _cost_gradients(diff, np.sum(diff * diff, axis=2), scn)
+
+
+def _cost_gradients(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarray:
+    """cost_gradients from the offsets q - w_i (N, K, 2) and their squared lengths (N, K)."""
+    grad = np.empty((diff.shape[0], 2 + scn.k))
     grad[:, 2:] = 1.0
     if scn.dist_weight > 0.0:
-        diff = positions[:, None, :] - scn.user_positions
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        nonzero = dist > 0.0
+        dist = np.sqrt(d2)
         units = np.zeros_like(diff)
-        units[nonzero] = diff[nonzero] / dist[nonzero, None]
-        grad[:, :2] = scn.dist_weight * np.sum(units, axis=1)
+        np.divide(diff, dist[:, :, None], out=units, where=(dist > 0.0)[:, :, None])
+        np.multiply(np.sum(units, axis=1), scn.dist_weight, out=grad[:, :2])
+    else:
+        grad[:, :2] = 0.0
     return grad
 
 
@@ -180,18 +199,21 @@ def backward_closedloop(
     scn: Scenario,
     beta: float = 0.0,
     alpha: float = 1e-3,
+    *,
+    acts: Optional[list] = None,
 ) -> GradientBundle:
     """Reverse sweep of the full training objective through the policy,
 
     written as the discrete adjoint recurrence of the closed loop.
 
-    The policy's forward pass is recomputed from the tape's states in one
-    batched pass, and the headings it gives must be the tape's bit for
-    bit, so the tape must come from rolling out these parameter values.
-    With the forward pass known, the sweep is linear in the costate:
-    lam_t = M_t^T lam_{t+1} + e_t, where M_t = A_t + B_t du_dx_t chains the
-    state Jacobian with the control law (du_dx_t = diag(h_t) J_t O: head
-    slope, policy input Jacobian, observation Jacobian) and e_t is the
+    The policy's forward pass over the tape's states is acts when given
+    (the PolicyController.activations of the rollout that made the tape)
+    or is recomputed in one batched pass. Either way its headings must be
+    the tape's bit for bit, so the tape must come from rolling out these
+    parameter values. With the forward pass known, the sweep is linear in
+    the costate: lam_t = M_t^T lam_{t+1} + e_t, where M_t = A_t + B_t du_dx_t
+    chains the state Jacobian with the control law (du_dx_t = diag(h_t) J_t O:
+    head slope, policy input Jacobian, observation Jacobian) and e_t is the
     stage-cost gradient plus du_dx_t^T of the smoothness partials. Every
     M_t and e_t is built for the whole tape at once; only the T mat-vecs of
     the recurrence run in sequence. The action gradients and the one
@@ -207,15 +229,21 @@ def backward_closedloop(
         return GradientBundle(np.zeros((0, 2)), np.zeros(params.flat.size), j_task, j_smooth, j_total)
 
     layers = unpack(params)
-    acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+    if acts is None:
+        acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
     if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
         raise ScenarioError("trajectory record was rolled out with different params")
     slopes = head_slopes(acts[-1], params.v_max)
-    du_dx = input_jacobians(layers, acts, slopes) @ observation_jacobian(scn)
+    derivs = tanh_derivatives(acts)
+    du_dx = input_jacobians(layers, derivs, slopes) @ observation_jacobian(scn)
     b_mats = control_jacobians(controls, scn)
-    m_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
+    # the vehicle-to-user offsets of every visited state, shared by the
+    # rate gradients (pre-step rows) and the stage-cost gradients (all rows)
+    diff = traj.positions[:, None, :] - scn.user_positions
+    d2 = np.sum(diff * diff, axis=2)
+    m_mats = _state_jacobians(traj.active_masks, rate_gradients_of_offsets(diff[:-1], d2[:-1], scn), scn)
     m_mats += b_mats @ du_dx
-    lam = cost_gradients(traj.positions, scn)  # rows 0..T-1 start as e_t, row T is lam_T
+    lam = _cost_gradients(diff, d2, scn)  # rows 0..T-1 start as e_t, row T is lam_T
     lam[0] = 0.0  # the initial state carries no cost term
     s_grads = np.zeros((t_len, 2))
     if beta != 0.0:
@@ -223,12 +251,12 @@ def backward_closedloop(
         lam[:-1] += np.einsum("ti,tij->tj", s_grads, du_dx)
     for t in range(t_len - 1, -1, -1):
         lam[t] += lam[t + 1] @ m_mats[t]
-    bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
-    if bad.size:
+    if not np.isfinite(lam[:-1]).all():
+        bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
         raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches
 
     action_grads = np.einsum("tij,ti->tj", b_mats, lam[1:]) + s_grads
-    param_grad, _ = pullback(layers, acts, slopes * action_grads)
-    if not np.all(np.isfinite(param_grad)):
+    param_grad, _ = pullback(layers, acts, derivs, slopes * action_grads)
+    if not np.isfinite(param_grad).all():
         raise NumericFailure(0, "backward")
     return GradientBundle(action_grads, param_grad, j_task, j_smooth, j_total)

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .env import (  # SequenceController stays importable from here
-    OPEN_LOOP_SEGMENT,
     Control,
     Scenario,
     ScenarioError,
@@ -26,11 +25,8 @@ from .env import (  # SequenceController stays importable from here
     TrajectoryRecord,
     check_int,
     check_seed,
-    initial_state,
-    open_loop_segment,
     rates,
     rollout,
-    stage_costs,
 )
 from .smoothing import smoothness_penalty
 
@@ -148,50 +144,6 @@ def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:
     return -(traj.task_cost() + cfg.beta * smoothness_penalty(traj.controls, cfg.alpha))
 
 
-def _running_sums(terms: np.ndarray) -> np.ndarray:
-    """np.add.accumulate of the rows of terms (P, n) from 0.0, as (P, n + 1).
-
-    Column j is the left-to-right sum of the first j terms: what sum() of a
-    list adds, and what np.sum adds for j < 8 (tests pin both).
-    """
-    sums = np.zeros((terms.shape[0], terms.shape[1] + 1))
-    sums[:, 1:] = terms
-    return np.add.accumulate(sums, axis=1)
-
-
-def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.ndarray:
-    """[_fitness(c, scn, cfg) for c in pop] for a population (P, T, 2), bit for bit.
-
-    The first OPEN_LOOP_SEGMENT steps of every member are one
-    open_loop_segment pass. A member whose mission ends within them reads
-    its task cost and smoothness penalty off running sums along the step
-    axis; a segment has at most 7 control differences, so both sums add in
-    _fitness's order. A member still running after the segment, or one
-    whose steps would raise, takes _fitness, in population order, so the
-    first exception is the scalar loop's.
-    """
-    x = initial_state(scn)
-    controls = pop[:, :OPEN_LOOP_SEGMENT]
-    p, m = controls.shape[:2]
-    seg = open_loop_segment(controls, x.q, x.d, scn, cfg.stop_eps * scn.k)
-    batched = seg.ended & seg.valid
-    fitness = np.empty(p)
-    if batched.any():  # no member of a long mission ends in the segment
-        members = np.arange(p)
-        # rows after a member's end are never read, and may overflow
-        with np.errstate(all="ignore"):
-            costs = stage_costs(seg.positions[:, 1:].reshape(-1, 2), seg.backlogs[:, 1:].reshape(-1, scn.k), scn)
-            task = _running_sums(costs.reshape(p, m))[members, seg.end]
-            dv = np.diff(controls[..., 0], axis=1)
-            turns = 1.0 - np.cos(np.diff(controls[..., 1], axis=1))
-            diffs = np.maximum(seg.end - 1, 0)
-            penalty = _running_sums(dv * dv)[members, diffs] + cfg.alpha * _running_sums(turns)[members, diffs]
-            fitness[:] = -(task + cfg.beta * np.where(seg.end >= 2, penalty, 0.0))
-    for i in np.flatnonzero(~batched).tolist():
-        fitness[i] = _fitness(pop[i], scn, cfg)
-    return fitness
-
-
 def _tournament(rng: np.random.Generator, fitness: np.ndarray, size: int) -> int:
     idx = rng.integers(0, fitness.size, size=size)
     return int(idx[np.argmax(fitness[idx])])
@@ -213,7 +165,7 @@ def ga_optimize(
     pop = np.empty((cfg.population, t_len, 2))
     pop[:, :, 0] = rng.uniform(0.0, scn.v_max, size=(cfg.population, t_len))
     pop[:, :, 1] = rng.uniform(0.0, TWO_PI, size=(cfg.population, t_len))
-    fitness = _population_fitness(pop, scn, cfg)
+    fitness = np.array([_fitness(c, scn, cfg) for c in pop])
 
     best_idx = int(np.argmax(fitness))
     best = pop[best_idx].copy()
@@ -243,7 +195,7 @@ def ga_optimize(
                 children.append(cb)
         pop = np.stack(children)
         # an elite's fitness is known: only the bred children are rolled out
-        fitness = np.concatenate([fitness[elites], _population_fitness(pop[cfg.elitism:], scn, cfg)])
+        fitness = np.concatenate([fitness[elites], [_fitness(c, scn, cfg) for c in children[cfg.elitism:]]])
         gen_best = int(np.argmax(fitness))
         if float(fitness[gen_best]) > best_fit:
             best_fit = float(fitness[gen_best])

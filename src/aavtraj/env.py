@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -202,10 +202,26 @@ def rate_gradients(q: np.ndarray, scn: Scenario) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     diff = q[..., None, :] - scn.user_positions
-    d2 = (diff * diff).sum(axis=-1)
+    return rate_gradients_of_offsets(diff, (diff * diff).sum(axis=-1), scn)
+
+
+def rate_gradients_of_offsets(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarray:
+    """rate_gradients at the offsets diff = q - w_i (..., K, 2), given their
+
+    squared lengths d2 (..., K). The coefficient is
+    -(B/K)/ln2 * 1/(1+snr) * 2 * eta / (sigma2 * den * den), den = d2 + H^2,
+    snr = eta / (den * sigma2), multiplied out left to right.
+    """
     den = d2 + scn.altitude**2
-    snr = scn.eta / (den * scn.sigma2)
-    coef = -(scn.bandwidth / scn.k) / LN2 * (1.0 / (1.0 + snr)) * 2.0 * scn.eta / (scn.sigma2 * den * den)
+    den_s = den * scn.sigma2
+    coef = np.divide(scn.eta, den_s)
+    coef += 1.0
+    np.divide(1.0, coef, out=coef)
+    coef *= -(scn.bandwidth / scn.k) / LN2
+    coef *= 2.0
+    coef *= scn.eta
+    den_s *= den
+    coef /= den_s
     return coef[..., None] * diff
 
 
@@ -386,24 +402,12 @@ def _step_loop(policy, scn: Scenario, t_max: int, threshold: float) -> tuple:
     )
 
 
-class Segment(NamedTuple):
-    """open_loop_segment's result for a batch (...) of m-row control arrays."""
+def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
+    """_step_loop's result for a fixed (n, 2) control array, computed over
 
-    positions: np.ndarray  # (..., m+1, 2): the start, then the position after each step
-    raw: np.ndarray  # (..., m+1, K): running backlogs before the clamp
-    backlogs: np.ndarray  # (..., m+1, K): clamped at zero
-    end: np.ndarray  # (...): steps taken, the first row below the threshold or m
-    ended: np.ndarray  # (...): whether some row is below the threshold
-    valid: np.ndarray  # (...): whether the step loop would take those steps without raising
-
-
-def open_loop_segment(
-    controls: np.ndarray, q: np.ndarray, d: np.ndarray, scn: Scenario, threshold: float
-) -> Segment:
-    """The step loop's arithmetic for controls (..., m, 2) from positions q
-
-    (..., 2) and backlogs d (..., K), along the step axis of every member
-    of the batch at once.
+    the horizon in array operations, or None when a step before
+    termination would raise (non-finite or out-of-range control,
+    non-finite state, sequence exhausted); _step_loop then raises it.
 
     Only the two running sums are sequential: positions add the moves and
     backlogs subtract the drains, both with np.add.accumulate, which adds
@@ -411,46 +415,6 @@ def open_loop_segment(
     start plus a -0.0 hover move into -0.0). Drains are non-negative, so
     an unclamped running backlog only falls: once it reaches zero it stays
     clamped, and np.maximum(0, running) is the loop's clamped backlog.
-    A member is valid when its first end steps have speeds in [0, v_max],
-    finite headings and finite states (the start row is finite: it is the
-    initial state or a row already checked); rows after its end are never
-    read.
-    """
-    m = controls.shape[-2]
-    v, theta = controls[..., 0], controls[..., 1]
-    batch = v.shape[:-1]
-    # rows after a non-finite control are never used, but np.cos(inf) warns
-    with np.errstate(invalid="ignore"):
-        pos = np.empty((*batch, m + 1, 2))
-        pos[..., 0, :] = q
-        step = v * scn.tau
-        np.multiply(step, np.cos(theta), out=pos[..., 1:, 0])
-        np.multiply(step, np.sin(theta), out=pos[..., 1:, 1])
-        pos = np.add.accumulate(pos, axis=-2)
-        raw = np.empty((*batch, m + 1, scn.k))
-        raw[..., 0, :] = d
-        np.multiply(rates(pos[..., :-1, :], scn), -scn.tau, out=raw[..., 1:, :])  # minus the drains
-        raw = np.add.accumulate(raw, axis=-2)
-        back = np.maximum(0.0, raw)
-    below = back.sum(axis=-1) < threshold
-    ended = below.any(axis=-1)
-    end = np.where(ended, below.argmax(axis=-1), m)
-    # step t is good when its control is and the row it makes is finite;
-    # only the first n steps are taken by any member
-    n = int(end.max())
-    v, theta = v[..., :n], theta[..., :n]
-    good = (0.0 <= v) & (v <= scn.v_max) & np.isfinite(theta)
-    good &= np.isfinite(pos[..., 1 : n + 1, :]).all(axis=-1) & np.isfinite(back[..., 1 : n + 1, :]).all(axis=-1)
-    valid = (good | (np.arange(n) >= end[..., None])).all(axis=-1)
-    return Segment(pos, raw, back, end, ended, valid)
-
-
-def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
-    """_step_loop's result for a fixed (n, 2) control array, computed over
-
-    the horizon with open_loop_segment, or None when a step before
-    termination would raise (non-finite or out-of-range control,
-    non-finite state, sequence exhausted); _step_loop then raises it.
     The first OPEN_LOOP_SEGMENT steps are computed first and the rest of
     the horizon only if the mission has not ended by then.
     """
@@ -458,23 +422,39 @@ def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -
     q, d = x.q, x.d
     pos_parts, back_parts, mask_parts = [q[None]], [d[None]], []
     start, terminated = 0, None
-    for stop in (min(OPEN_LOOP_SEGMENT, t_max), t_max):
-        seg = open_loop_segment(controls[start:stop], q, d, scn, threshold)
-        if not seg.valid:
-            return None
-        end = int(seg.end)  # steps taken in this segment
-        pos_parts.append(seg.positions[1 : end + 1])
-        back_parts.append(seg.backlogs[1 : end + 1])
-        mask_parts.append((seg.raw[1 : end + 1] > 0.0).astype(np.float64))
-        if seg.ended:
-            terminated = start + end
-            break
-        start += end
-        if start == t_max:
-            break
-        if start < stop:
-            return None  # the sequence ran out before t_max
-        q, d = seg.positions[-1], seg.backlogs[-1]
+    # rows after a non-finite control are never used, but np.cos(inf) warns
+    with np.errstate(invalid="ignore"):
+        for stop in (min(OPEN_LOOP_SEGMENT, t_max), t_max):
+            seg = controls[start:stop]
+            m = seg.shape[0]
+            v, theta = seg[:, 0], seg[:, 1]
+            moves = (v * scn.tau)[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            pos = np.add.accumulate(np.concatenate([q[None], moves]), axis=0)
+            drains = rates(pos[:-1], scn) * scn.tau
+            raw = np.add.accumulate(np.concatenate([d[None], -drains]), axis=0)
+            back = np.maximum(0.0, raw)
+            below = np.flatnonzero(back.sum(axis=1) < threshold)
+            end = int(below[0]) if below.size else m  # steps taken in this segment
+            speeds = v[:end]
+            if not (
+                np.all((0.0 <= speeds) & (speeds <= scn.v_max))
+                and np.isfinite(theta[:end]).all()
+                and np.isfinite(pos[: end + 1]).all()
+                and np.isfinite(back[: end + 1]).all()
+            ):
+                return None
+            pos_parts.append(pos[1 : end + 1])
+            back_parts.append(back[1 : end + 1])
+            mask_parts.append((raw[1 : end + 1] > 0.0).astype(np.float64))
+            if below.size:
+                terminated = start + end
+                break
+            start += m
+            if start == t_max:
+                break
+            if start < stop:
+                return None  # the sequence ran out before t_max
+            q, d = pos[-1], back[-1]
 
     steps = start if terminated is None else terminated
     return (

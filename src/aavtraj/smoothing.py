@@ -16,14 +16,18 @@ def as_control_array(controls) -> np.ndarray:
     return np.asarray(controls, dtype=np.float64).reshape(-1, 2)
 
 
+def _changes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot-to-slot speed and heading changes of a (T, 2) array, as np.diff gives them."""
+    return arr[1:, 0] - arr[:-1, 0], arr[1:, 1] - arr[:-1, 1]
+
+
 def smoothness_penalty(controls, alpha: float) -> float:
     """sum_t (v_t - v_{t-1})^2 + alpha * (1 - cos(theta_t - theta_{t-1}))."""
     arr = as_control_array(controls)
     if arr.shape[0] < 2:
         return 0.0
-    dv = np.diff(arr[:, 0])
-    dth = np.diff(arr[:, 1])
-    return float(np.sum(dv * dv) + alpha * np.sum(1.0 - np.cos(dth)))
+    dv, dth = _changes(arr)
+    return float((dv * dv).sum() + alpha * (1.0 - np.cos(dth)).sum())
 
 
 def smoothness_grads(controls, alpha: float) -> np.ndarray:
@@ -36,12 +40,14 @@ def smoothness_grads(controls, alpha: float) -> np.ndarray:
     grads = np.zeros((t, 2))
     if t < 2:
         return grads
-    dv = np.diff(arr[:, 0])
-    sth = np.sin(np.diff(arr[:, 1]))
-    grads[1:, 0] += 2.0 * dv
-    grads[:-1, 0] -= 2.0 * dv
-    grads[1:, 1] += alpha * sth
-    grads[:-1, 1] -= alpha * sth
+    dv, dth = _changes(arr)
+    dv *= 2.0
+    sth = np.sin(dth)
+    sth *= alpha
+    grads[1:, 0] += dv
+    grads[:-1, 0] -= dv
+    grads[1:, 1] += sth
+    grads[:-1, 1] -= sth
     return grads
 
 

@@ -128,25 +128,47 @@ def init_opt_state(mode: str, n_params: int) -> OptState:
 
 
 def optimizer_step(
-    flat: np.ndarray, grad: np.ndarray, state: OptState, lr: float
+    flat: np.ndarray, grad: np.ndarray, state: OptState, lr: float, *, in_place: bool = False
 ) -> tuple[np.ndarray, OptState]:
-    """One deterministic update; inputs are never mutated."""
+    """One deterministic update. By default no input is mutated; with
+
+    in_place=True flat and the Adam moments are updated where they lie and
+    returned, bit for bit the values a copying step gives.
+    """
     grad = np.asarray(grad, dtype=np.float64)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericFailure(state.step, "optimizer")
-    if state.mode == "sgd":
-        return flat - lr * grad, OptState(mode="sgd", step=state.step + 1)
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_flat = flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_flat, OptState(mode="adam", step=t, m=m, v=v)
+    if not in_place:
+        flat = flat.copy()
+        state = replace(state, m=None if state.m is None else state.m.copy(),
+                        v=None if state.v is None else state.v.copy())
+    state.step += 1
+    # each line is one elementwise pass in the order of
+    # flat - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    tmp = np.multiply(grad, lr if state.mode == "sgd" else 1.0 - ADAM_BETA1)
+    if state.mode == "adam":
+        m, v = state.m, state.v
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= grad
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(m, 1.0 - ADAM_BETA1**state.step, out=tmp)
+        tmp *= lr
+        den = np.divide(v, 1.0 - ADAM_BETA2**state.step)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        tmp /= den
+    flat -= tmp
+    return flat, state
 
 
 def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParams, TrainingLog]:
     params = init_params(cfg.seed, scn.k, hidden=cfg.hidden, v_max=scn.v_max)
+    # the controller's layers are views of params.flat, which the optimizer
+    # updates in place: one controller serves every iteration
+    ctl = PolicyController(params, scn)
     opt = init_opt_state(cfg.optimizer, params.flat.size)
     log = TrainingLog(learning_rate=lr, seed=cfg.seed)
     consecutive = 0
@@ -155,19 +177,22 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         try:
-            traj = rollout(PolicyController(params, scn), scn, cfg.t_max, cfg.stop_eps)
+            traj = rollout(ctl, scn, cfg.t_max, cfg.stop_eps)
             if traj.steps == 0:
                 # nothing left to collect at mission start: no iteration to log
                 log.converged = True
                 log.stop_reason = "mission_complete_at_start"
                 return params, log
             t1 = time.perf_counter()
-            bundle = backward_closedloop(traj, params, scn, beta=cfg.beta, alpha=cfg.alpha)
+            bundle = backward_closedloop(
+                traj, params, scn, beta=cfg.beta, alpha=cfg.alpha, acts=ctl.activations
+            )
             t2 = time.perf_counter()
             pre = float(np.linalg.norm(bundle.param_grad))
             clipped = clip_gradient(bundle.param_grad, cfg.clip_threshold)
-            post = float(np.linalg.norm(clipped))
-            new_flat, opt = optimizer_step(params.flat, clipped, opt, lr)
+            # below the threshold the clip is a copy, whose norm is pre's
+            post = pre if pre <= cfg.clip_threshold else float(np.linalg.norm(clipped))
+            optimizer_step(params.flat, clipped, opt, lr, in_place=True)
         except NumericFailure as exc:
             exc.log = log  # partial log for diagnostics
             raise
@@ -181,7 +206,6 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
                 opt_ms=(t3 - t2) * 1e3,
             )
         )
-        params = replace(params, flat=new_flat)
         if prev_j is not None and abs(bundle.j_total - prev_j) < cfg.early_stop_delta:
             consecutive += 1
         else:

@@ -1,18 +1,14 @@
 """Greedy rule, genetic search, and the shared mission evaluator."""
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aavtraj import (
     GaConfig,
     GreedyConfig,
     GreedyController,
-    NumericFailure,
     PolicyController,
     Scenario,
     ScenarioError,
@@ -24,9 +20,8 @@ from aavtraj import (
     mission_metrics,
     rollout,
 )
-from aavtraj import baselines
 from aavtraj.baselines import ConstantController, SequenceController, greedy_action
-from aavtraj.env import OPEN_LOOP_SEGMENT, rates
+from aavtraj.env import rates
 from aavtraj.smoothing import wrap_angle
 
 
@@ -195,166 +190,6 @@ class TestGa:
     def test_operator_rates_at_their_bounds_accepted(self):
         GaConfig(mutation_std=[0, 0.0], crossover_rate=0)
         GaConfig(mutation_std=(0.5, 2), crossover_rate=1.0)
-
-
-def scalar_fitness(pop, scn, cfg):
-    """The oracle: one _fitness call per member, in population order."""
-    return np.array([baselines._fitness(c, scn, cfg) for c in pop])
-
-
-def fitness_outcome(fitness, pop, scn, cfg):
-    """The bytes of fitness(pop, scn, cfg), or the type, message, step and where of what it raised."""
-    try:
-        got = fitness(pop, scn, cfg)
-    except (ScenarioError, NumericFailure) as exc:
-        return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "where", None)
-    return got.dtype, got.shape, got.tobytes()
-
-
-def batch_and_scalar(pop, scn, cfg):
-    return (fitness_outcome(baselines._population_fitness, pop, scn, cfg),
-            fitness_outcome(scalar_fitness, pop, scn, cfg))
-
-
-def hover_scn(demand):
-    """One user under the vehicle's start, drained exactly 1.0 per hovering slot."""
-    return scn_with([[0.0, 0.0]], [demand], sigma2=1.0, dist_weight=0.0)
-
-
-def random_population(rng, scn, size, length, heading_scale=1.0):
-    pop = np.empty((size, length, 2))
-    pop[..., 0] = rng.uniform(0.0, scn.v_max, (size, length))
-    pick = rng.random((size, length))
-    pop[..., 0][pick < 0.15] = 0.0
-    pop[..., 0][pick > 0.85] = scn.v_max
-    pop[..., 1] = rng.uniform(0.0, 2.0 * math.pi, (size, length)) * heading_scale
-    return pop
-
-
-BAD_GENES = [math.nan, math.inf, -math.inf, -0.1, 0.3, 1e308]
-
-
-@st.composite
-def population_cases(draw):
-    k = draw(st.integers(1, 10))
-    lo, hi = draw(st.sampled_from([(0.5, 1.0), (20.0, 40.0), (0.0, 0.05), (1.0, 2.5), (2.0, 5.0)]))
-    scn = generate_scenario(draw(st.integers(0, 2**16)), k=k, demand_lo=lo, demand_hi=hi)
-    zero = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
-    if zero.any():
-        scn = replace(scn, demands=np.where(zero, 0.0, scn.demands))
-    length = draw(st.one_of(st.integers(1, 20), st.just(500)))
-    size = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pop = random_population(rng, scn, size, length, draw(st.sampled_from([1.0, 5.0, 21.0])))
-    for _ in range(draw(st.integers(0, 3))):
-        pop[rng.integers(size), rng.integers(min(length, 12)), rng.integers(2)] = draw(st.sampled_from(BAD_GENES))
-    beta, alpha = draw(st.sampled_from([(1.0, 1e-3), (0.5, 2.0)]))
-    return pop, scn, GaConfig(chromosome_length=length, beta=beta, alpha=alpha)
-
-
-class TestPopulationFitness:
-    """ga_optimize evaluates a generation in one array pass over the first
-
-    OPEN_LOOP_SEGMENT steps; one _fitness call per member is the oracle.
-    """
-
-    @given(case=population_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_equals_scalar_fitness_bytes(self, case):
-        batched, scalar = batch_and_scalar(*case)
-        assert batched == scalar
-
-    @pytest.mark.parametrize("length", [1, 5, 8, 9, 40, 500])
-    @pytest.mark.parametrize("demand", [0.0, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 30.0])
-    def test_members_ending_at_every_step_of_the_segment(self, demand, length):
-        scn = hover_scn(demand)
-        pop = random_population(np.random.default_rng(int(2 * demand)), scn, 50, length, 21.0)
-        pop[::2, :, 0] = 0.0  # hovering members end at step ceil(demand)
-        batched, scalar = batch_and_scalar(pop, scn, GaConfig(chromosome_length=length))
-        assert batched == scalar
-        hover_end = rollout(SequenceController(pop[0]), scn, length, 1e-3).terminated_step
-        assert hover_end == (math.ceil(demand) if math.ceil(demand) <= length else None)
-
-    @pytest.mark.parametrize("member", [0, 3, 9])
-    @pytest.mark.parametrize("step", [0, 1, 3, 7, 8, 30])
-    @pytest.mark.parametrize("column, value", [(0, math.nan), (1, math.nan), (0, math.inf), (1, math.inf),
-                                               (1, -math.inf), (0, -0.1), (0, 0.3), (1, 1e308)])
-    def test_bad_genes_raise_like_the_scalar_loop(self, member, step, column, value):
-        scn = generate_scenario(member, k=3, demand_lo=0.5, demand_hi=2.5)
-        pop = random_population(np.random.default_rng(step), scn, 12, 40)
-        pop[member, step, column] = value
-        pop[member + 1 :, 0, 0] = math.nan  # a later failing member must not be the one reported
-        batched, scalar = batch_and_scalar(pop, scn, GaConfig(chromosome_length=40))
-        assert batched == scalar
-        assert scalar[0] in (ScenarioError, NumericFailure)
-        if step == 0 and column == 0 and value in (-0.1, 0.3):
-            assert scalar[:2] == (ScenarioError, f"speed {value} outside [0, 0.2]")
-
-    def test_gene_after_the_end_is_never_read(self):
-        scn = generate_scenario(0, k=2)
-        pop = random_population(np.random.default_rng(0), scn, 20, 40)
-        want = scalar_fitness(pop, scn, GaConfig(chromosome_length=40))
-        pop[:, 30:] = math.nan
-        got = baselines._population_fitness(pop, scn, GaConfig(chromosome_length=40))
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_sums_of_fewer_than_8_terms_add_left_to_right(self, n):
-        # the running sums stand in for np.sum of the control differences
-        # and for sum() of the stage costs only while both add left to right
-        assert OPEN_LOOP_SEGMENT - 1 <= 7
-        rng = np.random.default_rng(n)
-        reordered = 0
-        for _ in range(2000):
-            terms = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-            left = 0.0
-            for term in terms.tolist():
-                left += term
-            assert float(np.sum(terms)).hex() == left.hex()
-            assert sum(terms.tolist()).hex() == left.hex()
-            assert float(np.add.accumulate(np.concatenate([[0.0], terms]))[-1]).hex() == left.hex()
-            reordered += float(np.sum(terms[::-1])) != left
-        assert n < 3 or reordered > 0  # the terms are ones whose order shows
-        # both start from 0.0: a lone -0.0 sums to 0.0
-        assert math.copysign(1.0, np.sum(np.full(n, -0.0))) == math.copysign(1.0, sum([-0.0] * n)) == 1.0
-
-    def test_members_ending_in_the_segment_never_roll_out(self, monkeypatch):
-        calls = []
-        original = baselines.rollout
-
-        def counting(policy, *args):
-            calls.append(policy.controls.copy())
-            return original(policy, *args)
-
-        monkeypatch.setattr(baselines, "rollout", counting)
-        scn = hover_scn(7.5)
-        pop = np.zeros((30, 20, 2))
-        pop[:, :, 0] = scn.v_max  # flying straight away, a member drains too little to end by step 8
-        pop[::3, :, 0] = 0.0  # hovering members end at step 8, the segment's last row
-        cfg = GaConfig(chromosome_length=20)
-        got = baselines._population_fitness(pop, scn, cfg)
-        assert len(calls) == 20
-        assert all(np.array_equal(c, m) for c, m in zip(calls, np.delete(pop, np.s_[::3], axis=0)))
-        assert got.tobytes() == scalar_fitness(pop, scn, cfg).tobytes()
-        calls.clear()
-        baselines._population_fitness(pop[::3], scn, cfg)
-        assert calls == []
-
-    @pytest.mark.parametrize("scn, cfg", [
-        (generate_scenario(0, k=4), GaConfig(population=20, generations=30, chromosome_length=40, seed=0)),
-        (generate_scenario(5, k=1), GaConfig(population=12, generations=40, chromosome_length=6, seed=5)),
-        (generate_scenario(2, k=10, demand_lo=1.0, demand_hi=2.5),
-         GaConfig(population=16, generations=25, chromosome_length=60, elitism=3, seed=2)),
-        (scn_with([[1.0, 0.0]], [0.0], dist_weight=0.0), GaConfig(population=8, generations=3, seed=1)),
-        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0),
-         GaConfig(population=6, generations=2, chromosome_length=120, seed=0)),
-    ])
-    def test_ga_outputs_equal_a_scalar_fitness_run(self, monkeypatch, scn, cfg):
-        best, log = ga_optimize(scn, cfg)
-        monkeypatch.setattr(baselines, "_population_fitness", scalar_fitness)
-        want_best, want_log = ga_optimize(scn, cfg)
-        assert best.tobytes() == want_best.tobytes()
-        assert np.array(log).tobytes() == np.array(want_log).tobytes()
 
 
 class TestMissionMetrics:

@@ -108,6 +108,20 @@ class TestObserve:
             assert np.allclose(m[:, j], fd, atol=1e-7)
 
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_jacobian_entries(self, k):
+        # a zero demand leaves its backlog column of the fraction rows empty
+        scn = generate_scenario(k, k=k)
+        scn = replace(scn, demands=np.where(np.arange(k) == k - 1, 0.0, scn.demands), area_side=7.0)
+        want = np.zeros((2 + 3 * k, 2 + k))
+        s = 2.0 / 7.0
+        want[0, 0] = want[1, 1] = s
+        for i in range(k):
+            want[2 + 2 * i, 0] = want[3 + 2 * i, 1] = -s
+            if i < k - 1:
+                want[2 + 2 * k + i, 2 + i] = 1.0 / scn.demands[i]
+        assert observation_jacobian(scn).tobytes() == want.tobytes()
+
 class TestForward:
     def test_zero_params_give_midrange_speed(self):
         params = init_params(0, k=2, hidden=(4,))

@@ -1,6 +1,7 @@
 """Smoothness penalty, clipping, optimizer steps, and the training loop."""
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 
 from aavtraj import (
     NumericFailure,
+    PolicyController,
     ScenarioError,
     TrainConfig,
     TrainingError,
+    backward_closedloop,
     generate_scenario,
+    init_params,
+    rollout,
     save_training_log,
     train,
 )
@@ -139,6 +144,29 @@ class TestOptimizerStep:
         assert np.allclose(np.abs(new), 1e-3, rtol=1e-4)
         assert new[0] < 0 < new[1]
 
+    @pytest.mark.parametrize("mode", ["adam", "sgd"])
+    def test_in_place_step_equals_copying_step(self, mode):
+        rng = np.random.default_rng(7)
+        n = 300
+        flat_copying = rng.normal(size=n)
+        flat_in_place = flat_copying.copy()
+        copying, in_place = init_opt_state(mode, n), init_opt_state(mode, n)
+        for _ in range(6):
+            grad = rng.normal(size=n) * 10.0 ** rng.integers(-8, 4, n)
+            before = (flat_copying.copy(), None if copying.m is None else copying.m.copy())
+            new, copying_next = optimizer_step(flat_copying, grad, copying, lr=1e-3)
+            # the copying step mutates neither the parameters nor the moments it was given
+            assert flat_copying.tobytes() == before[0].tobytes()
+            assert copying.m is None or copying.m.tobytes() == before[1].tobytes()
+            got, in_place = optimizer_step(flat_in_place, grad, in_place, lr=1e-3, in_place=True)
+            assert got is flat_in_place
+            assert got.tobytes() == new.tobytes()
+            assert in_place.step == copying_next.step
+            if mode == "adam":
+                assert in_place.m.tobytes() == copying_next.m.tobytes()
+                assert in_place.v.tobytes() == copying_next.v.tobytes()
+            flat_copying, copying = new, copying_next
+
     def test_nonfinite_gradient_rejected(self):
         state = init_opt_state("adam", 2)
         with pytest.raises(NumericFailure):
@@ -193,6 +221,35 @@ class TestTrainLoop:
             assert (a.j_task, a.j_smooth, a.j_total, a.grad_norm_pre,
                     a.grad_norm_post) == (b.j_task, b.j_smooth, b.j_total,
                                           b.grad_norm_pre, b.grad_norm_post)
+
+    @pytest.mark.parametrize("scn, cfg", [
+        (generate_scenario(0, k=4), TrainConfig(seed=0)),
+        (generate_scenario(1, k=1), TrainConfig(seed=1, optimizer="sgd", max_iters=15, early_stop_delta=0.0)),
+        (generate_scenario(2, k=3), TrainConfig(seed=2, beta=0.0, hidden=(8,), max_iters=20)),
+        (generate_scenario(3, k=2), TrainConfig(seed=3, clip_threshold=1e-3, max_iters=10, early_stop_delta=0.0)),
+        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0),
+         TrainConfig(seed=0, max_iters=3, early_stop_delta=0.0)),
+    ])
+    def test_matches_a_reference_loop(self, scn, cfg):
+        # the reference builds a controller per iteration, recomputes the
+        # forward pass in the sweep, takes copying optimizer steps and
+        # measures the clipped gradient's norm
+        params = init_params(cfg.seed, scn.k, hidden=cfg.hidden, v_max=scn.v_max)
+        opt = init_opt_state(cfg.optimizer, params.flat.size)
+        want = []
+        for _ in range(len(train(scn, cfg)[1].rows)):
+            traj = rollout(PolicyController(params, scn), scn, cfg.t_max, cfg.stop_eps)
+            bundle = backward_closedloop(traj, params, scn, beta=cfg.beta, alpha=cfg.alpha)
+            clipped = clip_gradient(bundle.param_grad, cfg.clip_threshold)
+            want.append((bundle.j_task, bundle.j_smooth, bundle.j_total,
+                         float(np.linalg.norm(bundle.param_grad)), float(np.linalg.norm(clipped))))
+            flat, opt = optimizer_step(params.flat, clipped, opt, cfg.learning_rate)
+            params = replace(params, flat=flat)
+        got_params, log = train(scn, cfg)
+        assert [(r.j_task, r.j_smooth, r.j_total, r.grad_norm_pre, r.grad_norm_post) for r in log.rows] == want
+        assert got_params.flat.tobytes() == params.flat.tobytes()
+        if cfg.clip_threshold < 1.0:
+            assert any(r.grad_norm_pre > cfg.clip_threshold for r in log.rows)  # the clip rescaled
 
     def test_early_stop_fires_correctly(self):
         scn = generate_scenario(0)
