@@ -11,8 +11,6 @@ gradient match finite differences of the training objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .env import (
@@ -36,7 +34,6 @@ from .policy import (
     observations,
     observe,
     pullback,
-    tanh_derivatives,
     unpack,
     vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
 )
@@ -199,21 +196,18 @@ def backward_closedloop(
     scn: Scenario,
     beta: float = 0.0,
     alpha: float = 1e-3,
-    *,
-    acts: Optional[list] = None,
 ) -> GradientBundle:
     """Reverse sweep of the full training objective through the policy,
 
     written as the discrete adjoint recurrence of the closed loop.
 
-    The policy's forward pass over the tape's states is acts when given
-    (the PolicyController.activations of the rollout that made the tape)
-    or is recomputed in one batched pass. Either way its headings must be
-    the tape's bit for bit, so the tape must come from rolling out these
-    parameter values. With the forward pass known, the sweep is linear in
-    the costate: lam_t = M_t^T lam_{t+1} + e_t, where M_t = A_t + B_t du_dx_t
-    chains the state Jacobian with the control law (du_dx_t = diag(h_t) J_t O:
-    head slope, policy input Jacobian, observation Jacobian) and e_t is the
+    The policy's forward pass is recomputed from the tape's states in one
+    batched pass, and the headings it gives must be the tape's bit for
+    bit, so the tape must come from rolling out these parameter values.
+    With the forward pass known, the sweep is linear in the costate:
+    lam_t = M_t^T lam_{t+1} + e_t, where M_t = A_t + B_t du_dx_t chains the
+    state Jacobian with the control law (du_dx_t = diag(h_t) J_t O: head
+    slope, policy input Jacobian, observation Jacobian) and e_t is the
     stage-cost gradient plus du_dx_t^T of the smoothness partials. Every
     M_t and e_t is built for the whole tape at once; only the T mat-vecs of
     the recurrence run in sequence. The action gradients and the one
@@ -229,13 +223,11 @@ def backward_closedloop(
         return GradientBundle(np.zeros((0, 2)), np.zeros(params.flat.size), j_task, j_smooth, j_total)
 
     layers = unpack(params)
-    if acts is None:
-        acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+    acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
     if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
         raise ScenarioError("trajectory record was rolled out with different params")
     slopes = head_slopes(acts[-1], params.v_max)
-    derivs = tanh_derivatives(acts)
-    du_dx = input_jacobians(layers, derivs, slopes) @ observation_jacobian(scn)
+    du_dx = input_jacobians(layers, acts, slopes) @ observation_jacobian(scn)
     b_mats = control_jacobians(controls, scn)
     # the vehicle-to-user offsets of every visited state, shared by the
     # rate gradients (pre-step rows) and the stage-cost gradients (all rows)
@@ -256,7 +248,7 @@ def backward_closedloop(
         raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches
 
     action_grads = np.einsum("tij,ti->tj", b_mats, lam[1:]) + s_grads
-    param_grad, _ = pullback(layers, acts, derivs, slopes * action_grads)
+    param_grad, _ = pullback(layers, acts, slopes * action_grads)
     if not np.isfinite(param_grad).all():
         raise NumericFailure(0, "backward")
     return GradientBundle(action_grads, param_grad, j_task, j_smooth, j_total)

@@ -214,33 +214,28 @@ def head_slopes(z: np.ndarray, v_max: float) -> np.ndarray:
     return slopes
 
 
-def tanh_derivatives(acts: list) -> list:
-    """1 - a^2 of each hidden activation a of a batched activations(...)."""
-    return [1.0 - a**2 for a in acts[1:-1]]
-
-
-def input_jacobians(layers: list, derivs: list, slopes: np.ndarray) -> np.ndarray:
+def input_jacobians(layers: list, acts: list, slopes: np.ndarray) -> np.ndarray:
     """d(v, theta) / d obs of each of N forward passes, (N, 2, in): the
 
     head rows scaled by slopes (N, 2) from head_slopes, pulled back
-    through the layers. derivs is tanh_derivatives of the passes.
+    through the layers. acts is the batched activations(...) of the passes.
     """
     rows = slopes[:, :, None] * layers[-1][0]
     for idx in range(len(layers) - 1, 0, -1):
-        rows *= derivs[idx - 1][:, None, :]
+        rows *= (1.0 - acts[idx] ** 2)[:, None, :]
         rows = rows @ layers[idx - 1][0]
     return rows
 
 
 def pullback(
-    layers: list, acts: list, derivs: list, delta: np.ndarray, *, inputs: bool = False
+    layers: list, acts: list, delta: np.ndarray, *, inputs: bool = False
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Pull the cotangents delta (N, 2) of the raw head outputs of N forward
 
-    passes back through the layers; acts is the batched activations(...)
-    and derivs its tanh_derivatives. Returns the parameter gradient summed
-    over the passes, laid out like the flat parameter vector, and, when
-    inputs is true, each pass's observation cotangent (N, in), else None.
+    passes back through the layers; acts is the batched activations(...).
+    Returns the parameter gradient summed over the passes, laid out like
+    the flat parameter vector, and, when inputs is true, each pass's
+    observation cotangent (N, in), else None.
     """
     grad = np.empty(sum(w.size + b.size for w, b in layers))
     end = grad.size
@@ -252,7 +247,7 @@ def pullback(
         if idx > 0 or inputs:
             delta = delta @ w
         if idx > 0:
-            delta *= derivs[idx - 1]
+            delta *= 1.0 - acts[idx] ** 2
     return grad, delta if inputs else None
 
 
@@ -266,7 +261,7 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
     layers = unpack(params)
     acts = activations(layers, _check_obs(params, obs)[None])
     delta = head_slopes(acts[-1], params.v_max) * upstream
-    flat, obs_grad = pullback(layers, acts, tanh_derivatives(acts), delta, inputs=True)
+    flat, obs_grad = pullback(layers, acts, delta, inputs=True)
     return flat, obs_grad[0]
 
 
@@ -289,7 +284,6 @@ class PolicyController:
         self.scn = scn
         self.layers = unpack(params)
         self.observer = ObservationBuffer(scn)
-        self.activations: Optional[list] = None  # the last policy_tape's forward pass
 
     def __call__(self, t: int, x: State) -> Control:
         obs = self.observer.fill(x.q, x.d)
@@ -315,10 +309,8 @@ class PolicyController:
 
 
 # Rows the closed-loop tape buffers start with; a longer mission doubles them,
-# so a huge t_max costs nothing until the mission runs that long, and a 2-4
-# step mission's buffers, activations included, stay a few kB rather than
-# the 0.7 MB that 500 rows of default-width activations take.
-TAPE_ROWS = 16
+# so a huge t_max costs nothing until the mission runs that long.
+TAPE_ROWS = 1024
 
 
 def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional[tuple]:
@@ -334,27 +326,17 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
     drain is env.rates_of_offsets of the observation's offsets, and the
     move is env.move added in Python floats, which is step_kinematics
     element by element.
-
-    The observation and each layer's output are written into one row per
-    step of arrays kept with the tape, so the reverse sweep need not run
-    the forward pass again: ctl.activations is then the list the batched
-    activations(...) gives for the tape's states, bit for bit, or None
-    when the tape is None. Every call allocates its own arrays, so a later
-    tape leaves an earlier one's activations as they were.
     """
     scn, layers = ctl.scn, ctl.layers
     k, v_max, tau = scn.k, ctl.params.v_max, scn.tau
-    ctl.activations = None
 
     rows = min(t_max, TAPE_ROWS)
     positions, backlogs = np.empty((rows + 1, 2)), np.empty((rows + 1, k))
     controls, raws = np.empty((rows, 2)), np.empty((rows, k))  # raws: drained, before the clamp
-    # one row per step of each activation: the observation, each hidden layer, the raw head output
-    acts = [np.empty((rows, width)) for width in (layers[0][0].shape[1], *(b.size for _, b in layers))]
     positions[0], backlogs[0] = 0.0, scn.demands
     observer = ctl.observer
     *hidden, (w_head, b_head) = layers
-    obs_rows, *hidden_rows, heads = acts
+    outs, head = [np.empty(b.shape) for _, b in hidden], np.empty(2)
     drain = np.empty(k)
     q0 = q1 = 0.0
     terminated = None
@@ -363,23 +345,19 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
         for t in range(t_max):
             if t == rows:  # the mission outlasted the buffers
                 rows = min(2 * rows, t_max)
-                positions, backlogs, controls, raws, *acts = (
+                positions, backlogs, controls, raws = (
                     np.concatenate([a, np.empty((rows - t, a.shape[1]))])
-                    for a in (positions, backlogs, controls, raws, *acts)
+                    for a in (positions, backlogs, controls, raws)
                 )
-                obs_rows, *hidden_rows, heads = acts
             q, d = positions[t], backlogs[t]
             if float(d.sum()) < threshold:
                 terminated = t
                 break
-            obs_rows[t] = observer.fill(q, d)
-            a = obs_rows[t]
-            for (w, b), out in zip(hidden, hidden_rows):
-                out = out[t]
+            a = observer.fill(q, d)
+            for (w, b), out in zip(hidden, outs):
                 np.matmul(w, a, out=out)
                 out += b
                 a = np.tanh(out, out=out)
-            head = heads[t]
             np.matmul(w_head, a, out=head)
             head += b_head
             z0, theta = head.tolist()
@@ -404,7 +382,6 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
     # non-finite row it makes, and it makes every row of the tape
     if not (np.isfinite(positions[: n + 1]).all() and np.isfinite(backlogs[: n + 1]).all()):
         return None
-    ctl.activations = [a[:n] for a in acts]
     # copies: a short mission must not keep the whole buffers alive
     masks = (raws[:n] > 0.0).astype(np.float64)
     return positions[: n + 1].copy(), backlogs[: n + 1].copy(), controls[:n].copy(), masks, terminated

@@ -10,7 +10,7 @@ scratch at half the learning rate before the run is declared failed.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -128,46 +128,37 @@ def init_opt_state(mode: str, n_params: int) -> OptState:
 
 
 def optimizer_step(
-    flat: np.ndarray, grad: np.ndarray, state: OptState, lr: float, *, in_place: bool = False
+    flat: np.ndarray, grad: np.ndarray, state: OptState, lr: float
 ) -> tuple[np.ndarray, OptState]:
-    """One deterministic update. By default no input is mutated; with
-
-    in_place=True flat and the Adam moments are updated where they lie and
-    returned, bit for bit the values a copying step gives.
-    """
+    """One deterministic update; inputs are never mutated."""
     grad = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad).all():
         raise NumericFailure(state.step, "optimizer")
-    if not in_place:
-        flat = flat.copy()
-        state = replace(state, m=None if state.m is None else state.m.copy(),
-                        v=None if state.v is None else state.v.copy())
-    state.step += 1
+    t = state.step + 1
     # each line is one elementwise pass in the order of
     # flat - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     tmp = np.multiply(grad, lr if state.mode == "sgd" else 1.0 - ADAM_BETA1)
-    if state.mode == "adam":
-        m, v = state.m, state.v
-        m *= ADAM_BETA1
-        m += tmp
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
-        tmp *= grad
-        v *= ADAM_BETA2
-        v += tmp
-        np.divide(m, 1.0 - ADAM_BETA1**state.step, out=tmp)
-        tmp *= lr
-        den = np.divide(v, 1.0 - ADAM_BETA2**state.step)
-        np.sqrt(den, out=den)
-        den += ADAM_EPS
-        tmp /= den
-    flat -= tmp
-    return flat, state
+    if state.mode == "sgd":
+        return flat - tmp, OptState(mode="sgd", step=t)
+    m = state.m * ADAM_BETA1
+    m += tmp
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= grad
+    v = state.v * ADAM_BETA2
+    v += tmp
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)
+    tmp *= lr
+    den = np.divide(v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    tmp /= den
+    return flat - tmp, OptState(mode="adam", step=t, m=m, v=v)
 
 
 def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParams, TrainingLog]:
     params = init_params(cfg.seed, scn.k, hidden=cfg.hidden, v_max=scn.v_max)
-    # the controller's layers are views of params.flat, which the optimizer
-    # updates in place: one controller serves every iteration
+    # the controller's layers are views of params.flat, into which each
+    # iteration writes its update: one controller serves every iteration
     ctl = PolicyController(params, scn)
     opt = init_opt_state(cfg.optimizer, params.flat.size)
     log = TrainingLog(learning_rate=lr, seed=cfg.seed)
@@ -184,15 +175,13 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
                 log.stop_reason = "mission_complete_at_start"
                 return params, log
             t1 = time.perf_counter()
-            bundle = backward_closedloop(
-                traj, params, scn, beta=cfg.beta, alpha=cfg.alpha, acts=ctl.activations
-            )
+            bundle = backward_closedloop(traj, params, scn, beta=cfg.beta, alpha=cfg.alpha)
             t2 = time.perf_counter()
             pre = float(np.linalg.norm(bundle.param_grad))
             clipped = clip_gradient(bundle.param_grad, cfg.clip_threshold)
-            # below the threshold the clip is a copy, whose norm is pre's
-            post = pre if pre <= cfg.clip_threshold else float(np.linalg.norm(clipped))
-            optimizer_step(params.flat, clipped, opt, lr, in_place=True)
+            post = float(np.linalg.norm(clipped))
+            new_flat, opt = optimizer_step(params.flat, clipped, opt, lr)
+            params.flat[...] = new_flat
         except NumericFailure as exc:
             exc.log = log  # partial log for diagnostics
             raise

@@ -551,26 +551,6 @@ class TestTapeSweep:
             assert_bitwise(backward_closedloop(replay, params, scn, beta=beta, alpha=1e-3),
                            backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3))
 
-    @pytest.mark.parametrize("preset, hidden", [("default", (64, 64, 32)), ("long", (16, 12, 8)), ("long", ())])
-    def test_kept_activations_give_the_recomputed_sweep(self, preset, hidden):
-        demands = {"default": (0.5, 1.0), "long": (20.0, 40.0)}[preset]
-        scn = generate_scenario(21, k=4, demand_lo=demands[0], demand_hi=demands[1])
-        params = init_params(21, k=4, hidden=hidden)
-        ctl = PolicyController(params, scn)
-        traj = rollout(ctl, scn, 80, 1e-3)
-        for beta in (0.0, 1.0):
-            assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3, acts=ctl.activations),
-                           backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3))
-
-    def test_activations_of_other_params_raise(self):
-        scn = smooth_scn(k=2, seed=33)
-        params = init_params(33, k=2, hidden=(8,))
-        traj = policy_tape(scn, params, 5)
-        other = PolicyController(init_params(34, k=2, hidden=(8,)), scn)
-        rollout(other, scn, 5, 1e-3)
-        with pytest.raises(ScenarioError, match="different params"):
-            backward_closedloop(traj, params, scn, acts=other.activations)
-
     def test_tape_of_other_params_raises(self):
         scn = smooth_scn(k=2, seed=31)
         params = init_params(31, k=2, hidden=(8,))

@@ -494,13 +494,6 @@ def controller(scn, hidden=(64, 64, 32), seed=0, scale=1.0, entry=None):
     return PolicyController(replace(params, flat=flat), scn)
 
 
-def assert_batched_forward(ctl, traj, scn):
-    """ctl.activations is the batched forward pass over traj's states, bit for bit."""
-    want = policy.activations(ctl.layers, policy.observations(traj.positions[:-1], traj.backlogs[:-1], scn))
-    assert [a.shape for a in ctl.activations] == [a.shape for a in want]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(ctl.activations, want))
-
-
 @st.composite
 def policy_cases(draw):
     k = draw(st.integers(1, 10))
@@ -529,41 +522,6 @@ class TestPolicyTape:
         assert fast == stepped_tape
         # the array path itself produced it, not a fallback to the loop
         assert policy.policy_tape(ctl, t_max, 1e-3 * scn.k) is not None
-
-    @given(case=policy_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_kept_activations_equal_the_batched_forward_pass(self, case):
-        ctl, scn, t_max = case
-        traj = rollout(ctl, scn, t_max, 1e-3)
-        assert_batched_forward(ctl, traj, scn)
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_kept_activations_survive_buffer_growth(self, monkeypatch, rows):
-        monkeypatch.setattr(policy, "TAPE_ROWS", rows)
-        scn = long_preset()
-        ctl = controller(scn)
-        traj = rollout(ctl, scn, 60, 1e-3)
-        assert traj.steps == 60
-        assert_batched_forward(ctl, traj, scn)
-
-    def test_a_later_tape_leaves_earlier_activations(self):
-        scn = long_preset()
-        ctl = controller(scn)
-        rollout(ctl, scn, 30, 1e-3)
-        first = ctl.activations
-        kept = [a.copy() for a in first]
-        traj = rollout(ctl, scn, 10, 1e-3)
-        assert ctl.activations is not first
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, kept))
-        assert_batched_forward(ctl, traj, scn)
-
-    def test_no_activations_after_a_failing_tape(self):
-        scn = long_preset()
-        ctl = controller(scn, entry=(0, math.nan))
-        rollout(controller(scn), scn, 5, 1e-3)
-        with pytest.raises(NumericFailure):
-            rollout(ctl, scn, 40, 1e-3)
-        assert ctl.activations is None
 
     def test_does_not_step(self, monkeypatch):
         def no_step(*args):

@@ -107,7 +107,6 @@ class TestObserve:
             fd = (at(base + e) - at(base - e)) / (2 * h)
             assert np.allclose(m[:, j], fd, atol=1e-7)
 
-
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_jacobian_entries(self, k):
         # a zero demand leaves its backlog column of the fraction rows empty
@@ -121,6 +120,7 @@ class TestObserve:
             if i < k - 1:
                 want[2 + 2 * k + i, 2 + i] = 1.0 / scn.demands[i]
         assert observation_jacobian(scn).tobytes() == want.tobytes()
+
 
 class TestForward:
     def test_zero_params_give_midrange_speed(self):

@@ -145,27 +145,33 @@ class TestOptimizerStep:
         assert new[0] < 0 < new[1]
 
     @pytest.mark.parametrize("mode", ["adam", "sgd"])
-    def test_in_place_step_equals_copying_step(self, mode):
+    def test_matches_the_expression_form_bitwise(self, mode):
+        # the step's passes must round like the textbook expressions
         rng = np.random.default_rng(7)
         n = 300
-        flat_copying = rng.normal(size=n)
-        flat_in_place = flat_copying.copy()
-        copying, in_place = init_opt_state(mode, n), init_opt_state(mode, n)
-        for _ in range(6):
+        flat = rng.normal(size=n)
+        state = init_opt_state(mode, n)
+        m, v = np.zeros(n), np.zeros(n)
+        lr = 1e-3
+        for t in range(1, 7):
             grad = rng.normal(size=n) * 10.0 ** rng.integers(-8, 4, n)
-            before = (flat_copying.copy(), None if copying.m is None else copying.m.copy())
-            new, copying_next = optimizer_step(flat_copying, grad, copying, lr=1e-3)
-            # the copying step mutates neither the parameters nor the moments it was given
-            assert flat_copying.tobytes() == before[0].tobytes()
-            assert copying.m is None or copying.m.tobytes() == before[1].tobytes()
-            got, in_place = optimizer_step(flat_in_place, grad, in_place, lr=1e-3, in_place=True)
-            assert got is flat_in_place
-            assert got.tobytes() == new.tobytes()
-            assert in_place.step == copying_next.step
+            before = (flat.copy(), None if state.m is None else (state.m.copy(), state.v.copy()))
+            new, nxt = optimizer_step(flat, grad, state, lr=lr)
+            # neither the parameters nor the moments given are mutated
+            assert flat.tobytes() == before[0].tobytes()
             if mode == "adam":
-                assert in_place.m.tobytes() == copying_next.m.tobytes()
-                assert in_place.v.tobytes() == copying_next.v.tobytes()
-            flat_copying, copying = new, copying_next
+                assert (state.m.tobytes(), state.v.tobytes()) == (before[1][0].tobytes(), before[1][1].tobytes())
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1.0 - ADAM_BETA1**t)
+                v_hat = v / (1.0 - ADAM_BETA2**t)
+                want = flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                assert (nxt.m.tobytes(), nxt.v.tobytes()) == (m.tobytes(), v.tobytes())
+            else:
+                want = flat - lr * grad
+            assert new.tobytes() == want.tobytes()
+            assert nxt.step == t
+            flat, state = new, nxt
 
     def test_nonfinite_gradient_rejected(self):
         state = init_opt_state("adam", 2)
@@ -231,9 +237,8 @@ class TestTrainLoop:
          TrainConfig(seed=0, max_iters=3, early_stop_delta=0.0)),
     ])
     def test_matches_a_reference_loop(self, scn, cfg):
-        # the reference builds a controller per iteration, recomputes the
-        # forward pass in the sweep, takes copying optimizer steps and
-        # measures the clipped gradient's norm
+        # the reference builds a controller and a parameter vector per
+        # iteration, as train did before it kept one controller per run
         params = init_params(cfg.seed, scn.k, hidden=cfg.hidden, v_max=scn.v_max)
         opt = init_opt_state(cfg.optimizer, params.flat.size)
         want = []
