@@ -1,16 +1,17 @@
 """Exact reverse-mode gradients of the rollout objective.
 
-Both sweeps walk a recorded trajectory tape backwards with explicit
-co-state algebra; no general-purpose autodiff is involved, so every
-intermediate is inspectable. The open-loop sweep treats the recorded
-controls as free variables and yields the classic costate recursion
-plus per-step action gradients. The closed-loop sweep additionally
-chains through the control law, which is what makes its parameter
-gradient match finite differences of the training objective.
+Both sweeps run one discrete adjoint recurrence (_costates) backwards
+over a recorded trajectory tape, with explicit costate algebra and no
+general-purpose autodiff, so every intermediate is inspectable. The
+open-loop sweep holds the recorded controls as free variables; the
+closed-loop sweep also chains through the control law, which is what
+makes its parameter gradient match finite differences of the objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .env import (
@@ -40,21 +41,17 @@ from .policy import (
 from .smoothing import smoothness_grads, smoothness_penalty
 
 
-def state_jacobians(positions: np.ndarray, masks: np.ndarray, scn: Scenario) -> np.ndarray:
+def state_jacobians(masks: np.ndarray, rate_grads: np.ndarray, scn: Scenario) -> np.ndarray:
     """d next_state / d state of every step, (T, 2+K, 2+K), from the
 
-    pre-step positions (T, 2) and the recorded clamp masks (T, K).
+    recorded clamp masks (T, K) and the rate gradients (T, K, 2) at the
+    pre-step positions.
 
     Block structure: the position rows are the identity (position does
     not feed back on itself beyond translation), clamped backlog rows
     are zero, active backlog rows couple to position through the rate
     gradient at the pre-step position.
     """
-    return _state_jacobians(masks, rate_gradients(positions, scn), scn)
-
-
-def _state_jacobians(masks: np.ndarray, rate_grads: np.ndarray, scn: Scenario) -> np.ndarray:
-    """state_jacobians from the rate gradients (T, K, 2) at the pre-step positions."""
     t_len, k = masks.shape
     n = 2 + k
     jac = np.zeros((t_len, n, n))
@@ -86,27 +83,20 @@ def control_jacobians(controls: np.ndarray, scn: Scenario) -> np.ndarray:
     return jac
 
 
-def cost_gradients(positions: np.ndarray, scn: Scenario) -> np.ndarray:
-    """Gradient of the stage cost in the state at every row of positions
+def cost_gradients(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Gradient of the stage cost in the state at N positions, as (N, 2+K),
 
-    (N, 2), as (N, 2+K); the distance term takes the zero subgradient
-    when the vehicle sits exactly on a user.
+    from their offsets q - w_i (N, K, 2) and squared lengths (N, K); the
+    distance term takes the zero subgradient when the vehicle sits
+    exactly on a user.
     """
-    diff = positions[:, None, :] - scn.user_positions
-    return _cost_gradients(diff, np.sum(diff * diff, axis=2), scn)
-
-
-def _cost_gradients(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarray:
-    """cost_gradients from the offsets q - w_i (N, K, 2) and their squared lengths (N, K)."""
-    grad = np.empty((diff.shape[0], 2 + scn.k))
+    grad = np.zeros((diff.shape[0], 2 + scn.k))
     grad[:, 2:] = 1.0
     if scn.dist_weight > 0.0:
         dist = np.sqrt(d2)
         units = np.zeros_like(diff)
         np.divide(diff, dist[:, :, None], out=units, where=(dist > 0.0)[:, :, None])
         np.multiply(np.sum(units, axis=1), scn.dist_weight, out=grad[:, :2])
-    else:
-        grad[:, :2] = 0.0
     return grad
 
 
@@ -115,7 +105,8 @@ def _cost_gradients(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarr
 
 def jacobian_state(x: State, u: Control, mask: np.ndarray, scn: Scenario) -> np.ndarray:
     """state_jacobians of the single step (x, u) with clamp mask."""
-    return state_jacobians(x.q[None], np.asarray(mask, dtype=np.float64).reshape(1, scn.k), scn)[0]
+    mask = np.asarray(mask, dtype=np.float64).reshape(1, scn.k)
+    return state_jacobians(mask, rate_gradients(x.q[None], scn), scn)[0]
 
 
 def jacobian_control(x: State, u: Control, scn: Scenario) -> np.ndarray:
@@ -125,48 +116,62 @@ def jacobian_control(x: State, u: Control, scn: Scenario) -> np.ndarray:
 
 def cost_grad_state(x: State, scn: Scenario) -> np.ndarray:
     """cost_gradients at the single state x."""
-    return cost_gradients(x.q[None], scn)[0]
+    diff = x.q[None, None, :] - scn.user_positions
+    return cost_gradients(diff, np.sum(diff * diff, axis=2), scn)[0]
 
 
-def _check_record(traj: TrajectoryRecord) -> int:
-    t = traj.steps
-    if (
-        traj.positions.shape[0] != t + 1
-        or traj.backlogs.shape[0] != t + 1
-        or traj.active_masks.shape[0] != t
-        or traj.stage_costs.shape[0] != t
-    ):
-        raise ScenarioError("trajectory record has inconsistent lengths")
-    return t
+def _check_record(traj: TrajectoryRecord, scn: Scenario) -> None:
+    """Raise ScenarioError naming the first field whose shape does not fit a tape of scn."""
+    t, k = traj.steps, scn.k
+    for name, want in (("positions", (t + 1, 2)), ("backlogs", (t + 1, k)), ("controls", (t, 2)),
+                       ("active_masks", (t, k)), ("stage_costs", (t,))):
+        got = getattr(traj, name).shape
+        if got != want:
+            raise ScenarioError(f"trajectory record field {name!r} has shape {got}, want {want} for K={k}")
 
 
-def backward_openloop(traj: TrajectoryRecord, scn: Scenario) -> tuple[list, np.ndarray]:
-    """Costate recursion over the tape with the controls held as free
+def _costates(traj: TrajectoryRecord, scn: Scenario, du_dx: Optional[np.ndarray],
+              extra: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The discrete adjoint recurrence lam_t = M_t^T lam_{t+1} + e_t over a
 
-    variables. Returns (costates, action_grads): costates[t] is the total
-    derivative of the task cost in states[t] (length T+1) and
-    action_grads[t] = B_t^T costate[t+1] is d J / d u_t (shape (T, 2)).
-    The initial state carries no direct cost term, so costates[0] is the
-    pure dynamics pullback.
+    checked tape, from lam_T, the stage-cost gradient at the last state.
+    M_t = A_t + B_t du_dx_t chains the state Jacobian with the control
+    law's Jacobian du_dx (T, 2, 2+K); e_t is the stage-cost gradient (zero
+    at t = 0) plus the rows extra (T, 2+K). Free controls have neither
+    (None). M_t and e_t are built for the whole tape at once; only the T
+    mat-vecs run in sequence. Returns lam (T+1, 2+K) and B (T, 2+K, 2).
     """
-    t_len = _check_record(traj)
-    n = 2 + scn.k
-    if t_len == 0:
-        return [np.zeros(n)], np.zeros((0, 2))
     b_mats = control_jacobians(traj.controls, scn)
-    a_mats = state_jacobians(traj.positions[:-1], traj.active_masks, scn)
-    cost_grads = cost_gradients(traj.positions, scn)
-    lam = cost_grads[t_len]
-    costates = [lam]
-    grads = np.zeros((t_len, 2))
-    for t in range(t_len - 1, -1, -1):
-        grads[t] = b_mats[t].T @ lam
-        lam = a_mats[t].T @ lam
-        if t >= 1:
-            lam = lam + cost_grads[t]
-        costates.append(lam)
-    costates.reverse()
-    return costates, grads
+    # the vehicle-to-user offsets of every visited state, shared by the
+    # rate gradients (pre-step rows) and the stage-cost gradients (all rows)
+    diff = traj.positions[:, None, :] - scn.user_positions
+    d2 = np.sum(diff * diff, axis=2)
+    m_mats = state_jacobians(traj.active_masks, rate_gradients_of_offsets(diff[:-1], d2[:-1], scn), scn)
+    if du_dx is not None:
+        m_mats += b_mats @ du_dx
+    lam = cost_gradients(diff, d2, scn)  # rows 0..T-1 start as e_t, row T is lam_T
+    lam[0] = 0.0
+    if extra is not None:
+        lam[:-1] += extra
+    for t in range(traj.steps - 1, -1, -1):
+        lam[t] += lam[t + 1] @ m_mats[t]
+    if not np.isfinite(lam[:-1]).all():
+        bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
+        raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches
+    return lam, b_mats
+
+
+def backward_openloop(traj: TrajectoryRecord, scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoint recurrence with the controls held as free variables
+
+    (M_t = A_t). Returns (costates, action_grads): costates[t] (T+1, 2+K)
+    is the total derivative of the task cost in state t, the pure dynamics
+    pullback at t = 0, and action_grads[t] = B_t^T costates[t+1] (T, 2) is
+    d J / d u_t.
+    """
+    _check_record(traj, scn)
+    lam, b_mats = _costates(traj, scn, None, None)
+    return lam, np.matmul(lam[1:, None, :], b_mats)[:, 0]
 
 
 def hamiltonian(x: State, u: Control, lam_next: np.ndarray, scn: Scenario) -> float:
@@ -197,30 +202,22 @@ def backward_closedloop(
     beta: float = 0.0,
     alpha: float = 1e-3,
 ) -> GradientBundle:
-    """Reverse sweep of the full training objective through the policy,
-
-    written as the discrete adjoint recurrence of the closed loop.
+    """Reverse sweep of the full training objective through the policy.
 
     The policy's forward pass is recomputed from the tape's states in one
     batched pass, and the headings it gives must be the tape's bit for
     bit, so the tape must come from rolling out these parameter values.
-    With the forward pass known, the sweep is linear in the costate:
-    lam_t = M_t^T lam_{t+1} + e_t, where M_t = A_t + B_t du_dx_t chains the
-    state Jacobian with the control law (du_dx_t = diag(h_t) J_t O: head
-    slope, policy input Jacobian, observation Jacobian) and e_t is the
-    stage-cost gradient plus du_dx_t^T of the smoothness partials. Every
-    M_t and e_t is built for the whole tape at once; only the T mat-vecs of
-    the recurrence run in sequence. The action gradients and the one
-    batched policy pullback of the parameter gradient follow from the
-    costates.
+    It gives the control law's Jacobian du_dx_t = diag(h_t) J_t O (head
+    slope, policy input Jacobian, observation Jacobian), which enters the
+    adjoint recurrence (_costates) with du_dx_t^T of the smoothness
+    partials as extra e_t rows. The action gradients and one batched
+    policy pullback of the parameter gradient follow from the costates.
     """
-    t_len = _check_record(traj)
+    _check_record(traj, scn)  # before the forward pass, which reads the tape too
     controls = traj.controls
     j_task = traj.task_cost()
     j_smooth = smoothness_penalty(controls, alpha)
     j_total = j_task + beta * j_smooth
-    if t_len == 0:
-        return GradientBundle(np.zeros((0, 2)), np.zeros(params.flat.size), j_task, j_smooth, j_total)
 
     layers = unpack(params)
     acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
@@ -228,24 +225,11 @@ def backward_closedloop(
         raise ScenarioError("trajectory record was rolled out with different params")
     slopes = head_slopes(acts[-1], params.v_max)
     du_dx = input_jacobians(layers, acts, slopes) @ observation_jacobian(scn)
-    b_mats = control_jacobians(controls, scn)
-    # the vehicle-to-user offsets of every visited state, shared by the
-    # rate gradients (pre-step rows) and the stage-cost gradients (all rows)
-    diff = traj.positions[:, None, :] - scn.user_positions
-    d2 = np.sum(diff * diff, axis=2)
-    m_mats = _state_jacobians(traj.active_masks, rate_gradients_of_offsets(diff[:-1], d2[:-1], scn), scn)
-    m_mats += b_mats @ du_dx
-    lam = _cost_gradients(diff, d2, scn)  # rows 0..T-1 start as e_t, row T is lam_T
-    lam[0] = 0.0  # the initial state carries no cost term
-    s_grads = np.zeros((t_len, 2))
+    s_grads, extra = np.zeros(controls.shape), None
     if beta != 0.0:
         s_grads = beta * smoothness_grads(controls, alpha)
-        lam[:-1] += np.einsum("ti,tij->tj", s_grads, du_dx)
-    for t in range(t_len - 1, -1, -1):
-        lam[t] += lam[t + 1] @ m_mats[t]
-    if not np.isfinite(lam[:-1]).all():
-        bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
-        raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches
+        extra = np.einsum("ti,tij->tj", s_grads, du_dx)
+    lam, b_mats = _costates(traj, scn, du_dx, extra)
 
     action_grads = np.einsum("tij,ti->tj", b_mats, lam[1:]) + s_grads
     param_grad, _ = pullback(layers, acts, slopes * action_grads)

@@ -24,6 +24,8 @@ from .env import (  # SequenceController stays importable from here
     State,
     TrajectoryRecord,
     check_int,
+    check_nonnegative,
+    check_positive,
     check_seed,
     rates,
     rollout,
@@ -137,6 +139,9 @@ class GaConfig:
             raise ScenarioError(f"crossover_rate must be in [0, 1], got {self.crossover_rate!r}")
         if len(self.mutation_std) != 2 or not all(0.0 <= s < math.inf for s in self.mutation_std):
             raise ScenarioError(f"mutation_std must be two finite numbers >= 0, got {self.mutation_std!r}")
+        check_positive("stop_eps", self.stop_eps)
+        for name in ("beta", "alpha"):
+            check_nonnegative(name, getattr(self, name))
 
 
 def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:

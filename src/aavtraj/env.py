@@ -89,8 +89,7 @@ class Scenario:
             val = getattr(self, name)
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise ScenarioError(f"{name} must be a positive finite number")
-        if not (math.isfinite(self.dist_weight) and self.dist_weight >= 0):
-            raise ScenarioError("dist_weight must be finite and >= 0")
+        check_nonnegative("dist_weight", self.dist_weight)
 
     @property
     def k(self) -> int:
@@ -330,8 +329,8 @@ def rollout(
     """
     if t_max < 1:
         raise ScenarioError("t_max must be >= 1")
-    if stop_eps <= 0:
-        raise ScenarioError("stop_eps must be > 0")
+    if not 0.0 < stop_eps < math.inf:
+        raise ScenarioError(f"stop_eps must be a positive finite number, got {stop_eps!r}")
     threshold = stop_eps * scn.k
 
     tape = None
@@ -477,6 +476,18 @@ def check_int(name: str, value, lo: int) -> None:
         raise ScenarioError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def check_positive(name: str, value) -> None:
+    """Reject anything but a finite number > 0 (NaN fails the comparison)."""
+    if not 0.0 < value < math.inf:
+        raise ScenarioError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Reject anything but a finite number >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= value < math.inf:
+        raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def check_seed(name: str, seed) -> None:
     """Reject a seed that numpy's generator would refuse: anything but an integer >= 0."""
     check_int(name, seed, 0)
@@ -505,8 +516,7 @@ def generate_scenario(
     check_int("k", k, 1)
     if not 0 <= demand_lo <= demand_hi:
         raise ScenarioError("need 0 <= demand_lo <= demand_hi")
-    if not (math.isfinite(area_side) and area_side > 0):
-        raise ScenarioError("area_side must be a positive finite number")
+    check_positive("area_side", area_side)
     rng = np.random.default_rng(seed)
     half = area_side / 2.0
     users = rng.uniform(-half, half, size=(k, 2))

@@ -8,7 +8,6 @@ comparison would be meaningless.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
-from .env import Scenario, ScenarioError, TrajectoryRecord, check_seed, generate_scenario, rates, rollout
+from .env import (Scenario, ScenarioError, TrajectoryRecord, check_positive, check_seed, generate_scenario,
+                  rates, rollout)
 from .policy import PolicyController, PolicyParams, init_params
 from .smoothing import smoothness_penalty
 
@@ -195,8 +195,7 @@ def run_gradcheck(
     report.
     """
     for name, value in (("h", h), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ScenarioError(f"{name} must be a positive finite number, got {value!r}")
+        check_positive(name, value)
     inst = make_instance(k, horizon, seed, hidden=hidden)
     traj = rollout(PolicyController(inst.params, inst.scn), inst.scn, horizon, stop_eps)
     bundle = backward_closedloop(traj, inst.params, inst.scn, beta=beta, alpha=alpha)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State, move, rates_of_offsets
+from .env import Control, Scenario, ScenarioError, State, check_positive, move, rates_of_offsets
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -67,8 +67,7 @@ class PolicyParams:
             raise ScenarioError(
                 f"flat vector has {self.flat.size} entries, spec wants {self.spec.param_count()}"
             )
-        if not (math.isfinite(self.v_max) and self.v_max > 0):
-            raise ScenarioError("v_max must be a positive finite number")
+        check_positive("v_max", self.v_max)
 
 
 def init_params(seed: int, k: int, hidden: tuple = (64, 64, 32), v_max: float = 0.2) -> PolicyParams:

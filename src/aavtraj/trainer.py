@@ -17,7 +17,8 @@ import numpy as np
 
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
-from .env import NumericFailure, Scenario, ScenarioError, check_int, check_seed, rollout
+from .env import (NumericFailure, Scenario, ScenarioError, check_int, check_nonnegative, check_positive,
+                  check_seed, rollout)
 from .policy import PolicyController, PolicyParams, init_params
 
 ADAM_BETA1 = 0.9
@@ -54,10 +55,10 @@ class TrainConfig:
             raise ScenarioError(f"unknown optimizer {self.optimizer!r}")
         for name in ("max_iters", "t_max", "early_stop_patience"):
             check_int(name, getattr(self, name), 1)
-        if self.learning_rate <= 0 or self.clip_threshold <= 0 or self.stop_eps <= 0:
-            raise ScenarioError("learning_rate, clip_threshold and stop_eps must be > 0")
-        if self.early_stop_delta < 0:
-            raise ScenarioError("early_stop_delta must be >= 0 (0 disables early stop)")
+        for name in ("learning_rate", "clip_threshold", "stop_eps"):
+            check_positive(name, getattr(self, name))
+        for name in ("early_stop_delta", "beta", "alpha"):  # early_stop_delta 0 disables early stop
+            check_nonnegative(name, getattr(self, name))
         check_seed("seed", self.seed)
 
 

@@ -457,6 +457,13 @@ def policy_tape(scn, params, t_max):
     return rollout(PolicyController(params, scn), scn, t_max, 1e-3)
 
 
+def openloop(traj, params, scn):
+    return backward_openloop(traj, scn)
+
+
+SWEEPS = [backward_closedloop, openloop]
+
+
 class TestTapeSweep:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("preset", ["default", "long"])
@@ -568,6 +575,38 @@ class TestTapeSweep:
         params = init_params(32, k=2, hidden=(8,))
         traj = policy_tape(scn, params, 6)
         traj.active_masks[3, 0] = np.inf  # the policy never reads it; the pullback at step 3 does
-        with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
-            backward_closedloop(traj, params, scn)
-        assert (exc.value.step, exc.value.where) == (3, "backward")
+        for sweep in SWEEPS:
+            with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+                sweep(traj, params, scn)
+            assert (exc.value.step, exc.value.where) == (3, "backward")
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_tape_of_other_k_raises(self, sweep):
+        params = init_params(33, k=2, hidden=(8,))
+        traj = policy_tape(generate_scenario(33, k=4), init_params(33, k=4, hidden=(8,)), 4)
+        with pytest.raises(ScenarioError, match="'backlogs' has shape"):
+            sweep(traj, params, generate_scenario(33, k=2))
+
+    @pytest.mark.parametrize("field", ["positions", "backlogs", "controls", "active_masks", "stage_costs"])
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_field_of_wrong_shape_raises(self, sweep, field):
+        scn = generate_scenario(34, k=3)
+        params = init_params(34, k=3, hidden=(8,))
+        traj = policy_tape(scn, params, 4)
+        arr = getattr(traj, field)
+        setattr(traj, field, arr[:-1] if arr.ndim == 1 else np.hstack([arr, arr[:, :1]]))
+        with pytest.raises(ScenarioError, match=f"'{field}' has shape"):
+            sweep(traj, params, scn)
+
+    def test_constant_policy_sweeps_like_the_open_loop(self):
+        # zero first-layer weights: the policy ignores the state, du_dx = 0 and
+        # M_t = A_t, so at beta = 0 both sweeps run the same recurrence
+        scn = smooth_scn(k=3, seed=35)
+        params = init_params(35, k=3, hidden=(8, 6))
+        params.flat[:] = np.random.default_rng(35).normal(0.0, 0.5, params.flat.size)
+        unpack(params)[0][0][:] = 0.0
+        traj = policy_tape(scn, params, 40)
+        assert traj.steps == 40 and np.unique(traj.controls, axis=0).shape[0] == 1
+        _, open_grads = backward_openloop(traj, scn)
+        got = backward_closedloop(traj, params, scn, beta=0.0)
+        assert_array_reordered(got.action_grads, open_grads, 1)

@@ -184,6 +184,14 @@ class TestGa:
         with pytest.raises(ScenarioError, match=field):
             GaConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("stop_eps", math.nan), ("beta", math.nan), ("alpha", math.nan), ("stop_eps", 0.0),
+        ("stop_eps", math.inf), ("beta", -1.0), ("alpha", -5.0), ("beta", math.inf),
+    ])
+    def test_bad_objective_settings_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            GaConfig(**{field: value})
+
     def test_numpy_integers_accepted(self):
         GaConfig(population=np.int64(4), generations=np.int32(1), seed=np.uint64(7))
 

@@ -1,0 +1,61 @@
+"""The digests and the report of tools/bitcheck.py, on canned and small inputs."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import aavtraj
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bitcheck.py"
+_spec = importlib.util.spec_from_file_location("bitcheck", _PATH)
+bitcheck = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bitcheck)
+
+
+def canned():
+    rng = np.random.default_rng(0)
+    return {"grads": rng.normal(size=(5, 2)), "log": [-3.5, -2.25, -2.0], "steps": (4, None)}
+
+
+def digests_of(outputs):
+    return {name: bitcheck.digest(value) for name, value in outputs.items()}
+
+
+def test_same_outputs_same_digests():
+    assert digests_of(canned()) == digests_of(canned())
+    assert bitcheck.moved(digests_of(canned()), digests_of(canned())) == []
+
+
+def test_last_bit_change_is_reported():
+    parent, change = canned(), canned()
+    change["grads"][3, 1] = np.nextafter(change["grads"][3, 1], np.inf)
+    change["log"][2] = np.nextafter(-2.0, 0.0)
+    assert bitcheck.moved(digests_of(parent), digests_of(change)) == ["grads", "log"]
+
+
+def test_shape_and_dtype_are_part_of_an_array_digest():
+    a = np.zeros(4)
+    assert len({bitcheck.digest(a), bitcheck.digest(a.reshape(2, 2)), bitcheck.digest(a.astype(np.float32))}) == 3
+
+
+def test_an_output_on_one_side_only_is_reported():
+    parent = digests_of(canned())
+    change = {**parent, "extra": bitcheck.digest(1.0)}
+    del change["log"]
+    assert bitcheck.moved(parent, change) == ["extra", "log"]
+
+
+def test_sweep_digests_repeat_and_catch_a_nudged_gradient(monkeypatch):
+    first = digests_of(bitcheck.sweep_outputs(tapes=2))
+    assert digests_of(bitcheck.sweep_outputs(tapes=2)) == first
+    real = aavtraj.backward_openloop
+
+    def nudged(traj, scn):
+        costates, grads = real(traj, scn)
+        grads[0, 0] = np.nextafter(grads[0, 0], np.inf)
+        return costates, grads
+
+    monkeypatch.setattr(aavtraj, "backward_openloop", nudged)
+    got = bitcheck.moved(first, digests_of(bitcheck.sweep_outputs(tapes=2)))
+    assert got == sorted(f"{preset}.{i}.k{k}.{kind}open.action_grads" for preset in bitcheck.PRESETS
+                         for i, k in ((0, 1), (1, 3)) for kind in ("", "sequence."))

@@ -149,6 +149,16 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert f"{field} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["stop_eps", "clip_threshold", "beta"])
+    def test_nan_train_field_exit2(self, tmp_path, capsys, field):
+        # json reads the bare token NaN as a float; no comparison with it is true
+        cfg = tmp_path / "t.json"
+        cfg.write_text('{"scenario": {"seed": 0, "k": 2}, "train": {"max_iters": 3, "%s": NaN}}' % field)
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_scenario_seed_exit2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "train.json", {**TRAIN_CONFIG, "scenario": {"seed": -1, "k": 2}})
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])

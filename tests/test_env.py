@@ -240,6 +240,12 @@ class TestRollout:
     def hover(self):
         return lambda t, x: Control(0.0, 0.0)
 
+    @pytest.mark.parametrize("stop_eps", [math.nan, math.inf, 0.0, -1e-3])
+    def test_stop_eps_must_be_positive_finite(self, stop_eps):
+        # a NaN threshold never compares true, so the mission would never end early
+        with pytest.raises(ScenarioError, match="stop_eps must be a positive finite number"):
+            rollout(self.hover(), generate_scenario(0, k=2), 50, stop_eps)
+
     def test_zero_demand_terminates_immediately(self):
         scn = unit_scn([[1, 0], [0, 1]], [0.0, 0.0])
         traj = rollout(self.hover(), scn, 50, 1e-3)

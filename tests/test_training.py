@@ -209,6 +209,19 @@ class TestTrainConfig:
             TrainConfig(early_stop_delta=-1.0)
         TrainConfig(early_stop_delta=0.0)  # zero disables the rule
 
+    @pytest.mark.parametrize("field, value", [
+        ("stop_eps", math.nan), ("learning_rate", math.nan), ("clip_threshold", math.nan),
+        ("early_stop_delta", math.nan), ("beta", math.nan), ("alpha", math.nan),
+        ("stop_eps", math.inf), ("learning_rate", math.inf), ("clip_threshold", 0.0),
+        ("beta", -1.0), ("alpha", -5.0), ("beta", math.inf), ("early_stop_delta", -math.inf),
+    ])
+    def test_bad_float_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_weights_accepted(self):
+        TrainConfig(beta=0.0, alpha=0.0, early_stop_delta=0.0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ScenarioError, match="seed must be an integer >= 0"):

@@ -1,0 +1,171 @@
+"""Byte-equality of seeded outputs between a git revision and the working tree.
+
+    python3 tools/bitcheck.py --against REV
+
+The determinism rule of ROADMAP.md: a refactor keeps seeded rollouts,
+gradients, training logs and sweep CSVs byte-equal. This script extracts
+REV with `git archive` (as tools/bench_pairs.py does), computes in each
+tree, in a fresh process importing that tree's src/, the SHA-256 digest
+of every output below, and names every output whose digest moved or that
+only one side has. It exits 1 if any did, 0 otherwise.
+
+- rollouts of a policy and of random controls, and both reverse sweeps
+  (closed loop at beta 0 and 1), on TAPES tapes of each preset with K in
+  KS and up to 500 steps;
+- a 5-iteration training log on the long preset without its wall-clock
+  columns, and the trained parameters;
+- a 3-generation GA log and best plan on each preset;
+- a K=2 sweep's detail.csv without sweep.TIMING_COLUMNS.
+
+`--digests` prints the digests of the aavtraj on the import path as JSON
+instead (the per-tree step). Standard library, numpy and the package only.
+"""
+import argparse
+import csv
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = {"default": (0.5, 1.0), "long": (20.0, 40.0)}
+TAPES = 24
+KS = (1, 3, 6, 10)
+TRAIN_TIMING = ("ms", "rollout_ms", "backward_ms", "opt_ms")
+
+
+def digest(value) -> str:
+    """SHA-256 of an output: an array's bytes with its dtype and shape, else its repr."""
+    if isinstance(value, np.ndarray):
+        blob = f"{value.dtype}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
+    else:
+        blob = repr(value).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def tape_outputs(tag: str, traj) -> dict:
+    return {f"{tag}.{name}": getattr(traj, name) for name in
+            ("positions", "backlogs", "controls", "active_masks", "stage_costs",
+             "completion_step", "terminated_step")}
+
+
+def sweep_outputs(tapes: int = TAPES) -> dict:
+    """Rollouts and both sweeps' outputs on tapes seeded tapes of each preset."""
+    from aavtraj import (PolicyController, SequenceController, backward_closedloop, backward_openloop,
+                         generate_scenario, init_params, rollout)
+
+    out = {}
+    for preset, (lo, hi) in PRESETS.items():
+        for i in range(tapes):
+            k = KS[i % len(KS)]
+            scn = generate_scenario(i, k=k, demand_lo=lo, demand_hi=hi)
+            params = init_params(i, k=k)
+            tag = f"{preset}.{i}.k{k}"
+            traj = rollout(PolicyController(params, scn), scn, 500, 1e-3)
+            out.update(tape_outputs(f"{tag}.policy", traj))
+            costates, grads = backward_openloop(traj, scn)
+            out[f"{tag}.open.costates"] = np.asarray(costates)
+            out[f"{tag}.open.action_grads"] = grads
+            for beta in (0.0, 1.0):
+                bundle = backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3)
+                for name, value in asdict(bundle).items():
+                    out[f"{tag}.closed.beta{beta:g}.{name}"] = value
+            rng = np.random.default_rng(i)
+            controls = np.column_stack([rng.uniform(0.0, scn.v_max, 500), rng.uniform(-np.pi, np.pi, 500)])
+            replay = rollout(SequenceController(controls), scn, 500, 1e-3)
+            out.update(tape_outputs(f"{tag}.sequence", replay))
+            costates, grads = backward_openloop(replay, scn)
+            out[f"{tag}.sequence.open.costates"] = np.asarray(costates)
+            out[f"{tag}.sequence.open.action_grads"] = grads
+    return out
+
+
+def training_outputs() -> dict:
+    from aavtraj import TrainConfig, generate_scenario, train
+
+    lo, hi = PRESETS["long"]
+    params, log = train(generate_scenario(0, k=4, demand_lo=lo, demand_hi=hi),
+                        TrainConfig(max_iters=5, early_stop_delta=0.0, seed=0))
+    rows = [{k: v for k, v in asdict(r).items() if k not in TRAIN_TIMING} for r in log.rows]
+    return {"train.log": rows, "train.stop": (log.converged, log.stop_reason, log.learning_rate),
+            "train.params": params.flat}
+
+
+def ga_outputs() -> dict:
+    from aavtraj import GaConfig, ga_optimize, generate_scenario
+
+    out = {}
+    for preset, (lo, hi) in PRESETS.items():
+        best, log = ga_optimize(generate_scenario(1, k=3, demand_lo=lo, demand_hi=hi),
+                                GaConfig(generations=3, seed=0))
+        out[f"ga.{preset}.log"], out[f"ga.{preset}.best"] = log, best
+    return out
+
+
+def sweep_csv_outputs() -> dict:
+    from aavtraj import SweepSpec, run_sweep, sweep
+
+    rows = run_sweep(SweepSpec(variable="K", values=[2], trials=2, root_seed=0, ga={"generations": 3}))
+    with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
+        path = os.path.join(tmp, "detail.csv")
+        sweep.save_detail_csv(rows, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    keep = [j for j, name in enumerate(table[0]) if name not in sweep.TIMING_COLUMNS]
+    return {"sweep.detail_csv": [[line[j] for j in keep] for line in table]}
+
+
+def digests() -> dict:
+    outputs = {**sweep_outputs(), **training_outputs(), **ga_outputs(), **sweep_csv_outputs()}
+    return {name: digest(value) for name, value in outputs.items()}
+
+
+def moved(parent: dict, change: dict) -> list:
+    """Names whose digests differ or that only one side has, sorted."""
+    return sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
+
+
+def tree_digests(tree: Path) -> dict:
+    """digests() computed in a fresh process that imports tree/src."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, __file__, "--digests"], env=env, check=True,
+                          capture_output=True, text=True)
+    record = json.loads(proc.stdout)
+    if not Path(record["package"]).resolve().is_relative_to((tree / "src").resolve()):
+        raise RuntimeError(f"imported aavtraj from {record['package']}, not from {tree / 'src'}")
+    return record["digests"]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--against", help="git revision to compare the working tree with")
+    group.add_argument("--digests", action="store_true", help="print this tree's digests as JSON")
+    args = p.parse_args(argv)
+    if args.digests:
+        import aavtraj
+        print(json.dumps({"package": aavtraj.__file__, "digests": digests()}))
+        return 0
+
+    from bench_pairs import extract
+
+    with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
+        sha = extract(args.against, Path(tmp))
+        parent = tree_digests(Path(tmp))
+    change = tree_digests(ROOT)
+    names = moved(parent, change)
+    for name in names:
+        print(f"moved: {name}")
+    print(f"bitcheck against {args.against} ({sha[:12]}): {len(names)} of "
+          f"{len(parent.keys() | change.keys())} outputs moved")
+    return 1 if names else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
