@@ -167,24 +167,24 @@ def rates(q: np.ndarray, scn: Scenario) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     diff = q[..., None, :] - scn.user_positions
-    return rates_of_offsets(diff, scn, np.empty(diff.shape[:-1]))
+    diff *= diff
+    arg = rate_argument(diff[..., 0] + diff[..., 1], scn.eta, scn.altitude**2, scn.sigma2)
+    return np.log2(arg, out=arg) * (scn.bandwidth / scn.k)
 
 
-def rates_of_offsets(off: np.ndarray, scn: Scenario, out: np.ndarray) -> np.ndarray:
-    """rates at the vehicle-to-user offsets off (..., K, 2), of either sign,
+def rate_argument(d2, eta: float, h2: float, sigma2: float):
+    """1 + snr at the squared horizontal distances d2, a float or an array:
 
-    written into out (..., K) and returned; off is overwritten with its
-    squares. Two-term sums add like .sum(axis=-1).
+    eta / ((d2 + h2) * sigma2) + 1.0 with h2 = H^2. Its log2 times B/K is
+    the rate; the batched rates and the closed-loop tape's per-user floats
+    both take it from here, so they round alike.
     """
-    np.multiply(off, off, out=off)
-    np.add(off[..., 0], off[..., 1], out=out)
-    out += scn.altitude**2
-    out *= scn.sigma2
-    np.divide(scn.eta, out, out=out)
-    out += 1.0
-    np.log2(out, out=out)
-    out *= scn.bandwidth / scn.k
-    return out
+    return eta / ((d2 + h2) * sigma2) + 1.0
+
+
+def clamp(x: float) -> float:
+    """max(0, x) of a float as np.maximum(0.0, x) rounds it: -0.0 and NaN pass through."""
+    return 0.0 if x < 0.0 else x
 
 
 def rate(q: np.ndarray, i: int, scn: Scenario) -> float:
@@ -322,10 +322,11 @@ def rollout(
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
     after t_max steps. A SequenceController's controls are known up
     front, so its tape is computed in array segments (_replay); a
-    PolicyController run on its own scenario steps through preallocated
-    arrays (policy.policy_tape). Both give the step loop's bits and
-    exceptions. A PolicyController (or subclass) run on a scenario other
-    than its own or an equal copy raises ScenarioError.
+    PolicyController run on its own scenario steps with the state in
+    Python floats, the layers and the rates' log2 in numpy
+    (policy.policy_tape). Both give the step loop's bits and exceptions.
+    A PolicyController (or subclass) run on a scenario other than its own
+    or an equal copy raises ScenarioError.
     """
     if t_max < 1:
         raise ScenarioError("t_max must be >= 1")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State, check_positive, move, rates_of_offsets
+from .env import Control, Scenario, ScenarioError, State, check_positive, clamp, move, rate_argument
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -103,29 +103,53 @@ def unpack(params: PolicyParams) -> list:
 class ObservationBuffer:
     """Preallocated observations for positions (*batch, 2) and backlogs
 
-    (*batch, K): fill writes them into .out (*batch, 2 + 3K) and leaves the
-    offsets w_i - q in .off (*batch, K, 2). The layout is the position and
-    the K offsets scaled by 2/area_side, then the backlogs over their
-    demands, 0 for a zero demand (out starts at zero and those entries are
-    never written).
+    (*batch, K): fill writes them into .out (*batch, 2 + 3K). The layout is
+    the position and the K offsets w_i - q scaled by 2/area_side, then the
+    backlogs over their demands, 0 for a zero demand (out starts at zero
+    and those entries are never written).
     """
 
     def __init__(self, scn: Scenario, batch: tuple = ()):
         k = scn.k
         self.out = np.zeros((*batch, 2 + 3 * k))
-        self.off = np.empty((*batch, k, 2))
-        self._q, self._rel, self._frac = (self.out[..., :2], self.out[..., 2 : 2 + 2 * k],
-                                          self.out[..., 2 + 2 * k :])
-        self._off_flat = self.off.reshape(*batch, 2 * k)
+        self._q, self._frac = self.out[..., :2], self.out[..., 2 + 2 * k :]
+        self._rel = self.out[..., 2 : 2 + 2 * k].reshape(*batch, k, 2)
         self._s, self._users, self._demands = 2.0 / scn.area_side, scn.user_positions, scn.demands
         self._has_demand = scn.demands > 0.0
 
     def fill(self, positions: np.ndarray, backlogs: np.ndarray) -> np.ndarray:
         np.multiply(positions, self._s, out=self._q)
-        np.subtract(self._users, positions[..., None, :], out=self.off)
-        np.multiply(self._off_flat, self._s, out=self._rel)
+        np.subtract(self._users, positions[..., None, :], out=self._rel)
+        self._rel *= self._s
         np.divide(backlogs, self._demands, out=self._frac, where=self._has_demand)
         return self.out
+
+
+class FloatObserver:
+    """The observation of one state held in Python floats, laid out as
+
+    ObservationBuffer's and rounded alike: float arithmetic is the IEEE
+    arithmetic numpy runs element by element.
+    """
+
+    def __init__(self, scn: Scenario):
+        self.s = 2.0 / scn.area_side
+        self.users = [tuple(w) for w in scn.user_positions.tolist()]
+        self.demands = scn.demands.tolist()
+
+    def observe(self, q0: float, q1: float, backlogs: list) -> tuple[list, list]:
+        """The observation at position (q0, q1) and the K backlogs, as a list
+
+        of 2 + 3K floats, and the unscaled offsets w_i - q as K pairs.
+        """
+        s = self.s
+        obs, offsets = [q0 * s, q1 * s], []
+        for w0, w1 in self.users:
+            o0, o1 = w0 - q0, w1 - q1
+            obs += (o0 * s, o1 * s)
+            offsets.append((o0, o1))
+        obs += [x / m if m > 0.0 else 0.0 for x, m in zip(backlogs, self.demands)]
+        return obs, offsets
 
 
 def observations(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
@@ -283,6 +307,7 @@ class PolicyController:
         self.scn = scn
         self.layers = unpack(params)
         self.observer = ObservationBuffer(scn)
+        self.float_observer = FloatObserver(scn)
 
     def __call__(self, t: int, x: State) -> Control:
         obs = self.observer.fill(x.q, x.d)
@@ -307,83 +332,97 @@ class PolicyController:
                 )
 
 
-# Rows the closed-loop tape buffers start with; a longer mission doubles them,
-# so a huge t_max costs nothing until the mission runs that long.
-TAPE_ROWS = 1024
-
-
 def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional[tuple]:
-    """env._step_loop's result for ctl on its own scenario, computed in one
+    """env._step_loop's result for ctl on its own scenario, computed with the
 
-    loop over preallocated arrays, or None when a step before termination
-    would raise (non-finite or out-of-range control, non-finite state);
-    _step_loop then raises it.
+    state in Python floats, or None when a step before termination would
+    raise (non-finite or out-of-range control, non-finite state) or H^2
+    overflows or underflows the floats; _step_loop then runs the rollout.
 
-    Each step repeats the per-step loop's arithmetic, in its order: the
-    observation is assembled in place (ObservationBuffer), each layer is
-    np.matmul(w, a, out=) plus the bias, which rounds like w @ a + b, the
-    drain is env.rates_of_offsets of the observation's offsets, and the
-    move is env.move added in Python floats, which is step_kinematics
-    element by element.
+    Each step repeats the per-step loop's arithmetic, in its order, one
+    float at a time (FloatObserver, env.rate_argument, env.clamp,
+    env.move). What float arithmetic would round differently stays in
+    numpy: each hidden layer is np.dot(w, a, out) plus the bias, which
+    rounds like w @ a + b, then np.tanh; one np.log2 takes the K rate
+    arguments. While one backlog reaches the threshold the backlog sum
+    cannot be below it (a sum of non-negative terms is at least each of
+    them), so np.sum runs only when none does; a NaN fails the >= and
+    falls through to it. The rows become arrays once, at the end.
     """
     scn, layers = ctl.scn, ctl.layers
-    k, v_max, tau = scn.k, ctl.params.v_max, scn.tau
+    k, n, v_max, tau = scn.k, ctl.params.spec.input_dim, ctl.params.v_max, scn.tau
+    eta, sigma2, bk = scn.eta, scn.sigma2, scn.bandwidth / scn.k
+    try:
+        h2 = scn.altitude**2
+    except OverflowError:
+        return None  # the loop raises it at its first step, if it takes one
+    if not h2 * sigma2 > 0.0:
+        return None  # a float eta / 0.0 raises where the loop's array gives inf
 
-    rows = min(t_max, TAPE_ROWS)
-    positions, backlogs = np.empty((rows + 1, 2)), np.empty((rows + 1, k))
-    controls, raws = np.empty((rows, 2)), np.empty((rows, k))  # raws: drained, before the clamp
-    positions[0], backlogs[0] = 0.0, scn.demands
-    observer = ctl.observer
+    observe = ctl.float_observer.observe
     *hidden, (w_head, b_head) = layers
-    outs, head = [np.empty(b.shape) for _, b in hidden], np.empty(2)
-    drain = np.empty(k)
+    b0, b1 = b_head.tolist()
+    outs = [np.empty(b.shape) for _, b in hidden]
+    # one buffer: the observation, the K rate arguments (log2'd in place) and the head
+    buf = np.empty(n + k + 2)
+    inputs, first, logs, head, tail = buf[: n + k], buf[:n], buf[n : n + k], buf[n + k :], buf[n:]
     q0 = q1 = 0.0
+    d = ctl.float_observer.demands
+    positions, backlogs, controls, raws = [q0, q1], list(d), [], []  # raws: drained, before the clamp
+    witness = 0  # the index of a backlog >= threshold, when there is one
     terminated = None
 
     with np.errstate(all="ignore"):  # the loop re-runs a failing tape and warns as it goes
         for t in range(t_max):
-            if t == rows:  # the mission outlasted the buffers
-                rows = min(2 * rows, t_max)
-                positions, backlogs, controls, raws = (
-                    np.concatenate([a, np.empty((rows - t, a.shape[1]))])
-                    for a in (positions, backlogs, controls, raws)
-                )
-            q, d = positions[t], backlogs[t]
-            if float(d.sum()) < threshold:
-                terminated = t
-                break
-            a = observer.fill(q, d)
+            if not d[witness] >= threshold:
+                witness = max(range(k), key=d.__getitem__)
+                if not d[witness] >= threshold and float(np.sum(d)) < threshold:
+                    terminated = t
+                    break
+            obs, offsets = observe(q0, q1, d)
+            # the offsets' sign squares away
+            obs += [rate_argument(o0 * o0 + o1 * o1, eta, h2, sigma2) for o0, o1 in offsets]
+            inputs[:] = obs
+            a = first
             for (w, b), out in zip(hidden, outs):
-                np.matmul(w, a, out=out)
+                np.dot(w, a, out)
                 out += b
                 a = np.tanh(out, out=out)
-            np.matmul(w_head, a, out=head)
-            head += b_head
-            z0, theta = head.tolist()
+            np.dot(w_head, a, head)
+            np.log2(logs, out=logs)
+            *rates, z0, theta = tail.tolist()
+            z0 += b0
+            theta += b1
             v = v_max * _sigmoid(z0)
             if not (0.0 <= v <= v_max and math.isfinite(theta)):
                 return None  # math.cos(inf) would raise
-            rates_of_offsets(observer.off, scn, drain)  # the offsets' sign squares away
-            drain *= tau
-            np.subtract(d, drain, out=raws[t])
-            np.maximum(0.0, raws[t], out=backlogs[t + 1])
+            raw = [x - rate * bk * tau for x, rate in zip(d, rates)]
+            d = [clamp(x) for x in raw]
             dq0, dq1 = move(v, theta, tau)
             q0 += dq0
             q1 += dq1
-            positions[t + 1] = q0, q1
-            controls[t] = v, theta
+            positions += (q0, q1)
+            backlogs += d
+            controls += (v, theta)
+            raws += raw
         else:
-            if float(backlogs[t_max].sum()) < threshold:
+            if float(np.sum(d)) < threshold:
                 terminated = t_max
 
-    n = t_max if terminated is None else terminated
+    positions, backlogs, controls, raws = (_rows(a, width) for a, width in
+                                           ((positions, 2), (backlogs, k), (controls, 2), (raws, k)))
     # one check over the finished tape: the loop raises at the first
     # non-finite row it makes, and it makes every row of the tape
-    if not (np.isfinite(positions[: n + 1]).all() and np.isfinite(backlogs[: n + 1]).all()):
+    if not (np.isfinite(positions).all() and np.isfinite(backlogs).all()):
         return None
-    # copies: a short mission must not keep the whole buffers alive
-    masks = (raws[:n] > 0.0).astype(np.float64)
-    return positions[: n + 1].copy(), backlogs[: n + 1].copy(), controls[:n].copy(), masks, terminated
+    return positions, backlogs, controls, (raws > 0.0).astype(np.float64), terminated
+
+
+def _rows(flat: list, width: int) -> np.ndarray:
+    """The floats of flat as an array of rows of width floats, owning its data."""
+    rows = np.empty((len(flat) // width, width))
+    rows.reshape(-1)[:] = flat
+    return rows
 
 
 # ---------------------------------------------------------------------------

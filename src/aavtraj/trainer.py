@@ -94,8 +94,7 @@ class TrainingLog:
 
 def clip_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     """Rescale to norm <= threshold without changing direction."""
-    if threshold <= 0:
-        raise ScenarioError("clip threshold must be > 0")
+    check_positive("clip_threshold", threshold)
     grad = np.asarray(grad, dtype=np.float64)
     norm = float(np.linalg.norm(grad))
     if norm <= threshold or norm == 0.0:

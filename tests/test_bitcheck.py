@@ -57,5 +57,6 @@ def test_sweep_digests_repeat_and_catch_a_nudged_gradient(monkeypatch):
 
     monkeypatch.setattr(aavtraj, "backward_openloop", nudged)
     got = bitcheck.moved(first, digests_of(bitcheck.sweep_outputs(tapes=2)))
-    assert got == sorted(f"{preset}.{i}.k{k}.{kind}open.action_grads" for preset in bitcheck.PRESETS
-                         for i, k in ((0, 1), (1, 3)) for kind in ("", "sequence."))
+    tags = [f"{preset}.{tag}" for preset in bitcheck.PRESETS for tag in ("0.k1", "1.k3", "k20", "zero-demand.k4")]
+    assert got == sorted(f"{tag}.{kind}open.action_grads" for tag in (*tags, "long.t1500.k4")
+                         for kind in ("", "sequence."))

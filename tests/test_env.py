@@ -538,12 +538,21 @@ class TestPolicyTape:
         assert rollout(controller(scn), scn, 500, 1e-3).steps > 20
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 16])
-    def test_buffers_grow_past_their_first_rows(self, monkeypatch, rows):
-        monkeypatch.setattr(policy, "TAPE_ROWS", rows)
+    def test_buffers_grow_past_their_first_rows(self, rows):
+        # horizons of 1, rows, rows + 1, 2 rows + 1 and 60 steps, each against the loop
         scn = long_preset()
         for t_max in (1, rows, rows + 1, 2 * rows + 1, 60):
             fast, stepped_tape = array_and_loop(controller(scn), scn, t_max)
             assert fast == stepped_tape and fast[2] is None
+
+    def test_hover_past_1024_steps(self):
+        # a -inf speed bias hovers at the origin; demands of 2000-4000 outlast the horizon
+        scn = long_preset()
+        scn = replace(scn, demands=100.0 * scn.demands)
+        ctl = controller(scn, entry=(-2, -math.inf))
+        fast, stepped_tape = array_and_loop(ctl, scn, 1500)
+        assert fast == stepped_tape and fast[2] is None
+        assert policy.policy_tape(ctl, 1500, 1e-3 * scn.k)[2].shape == (1500, 2)
 
     def test_huge_horizon_with_a_short_mission(self):
         scn = generate_scenario(0, k=4)
@@ -594,6 +603,51 @@ class TestPolicyTape:
         traj = rollout(ctl, scn, 6, 1e-3)
         assert np.all(traj.controls[:, 0] == 0.0)
         assert traj.backlogs[2, 0] == 0.0 and traj.active_masks[:, 0].tolist() == [1, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("demands, stop_eps, terminated", [
+        ([3.0], 1.0, 3),  # one backlog lands exactly on the threshold 1.0, then drains to 0
+        ([2.0, 2.0], 1.0, 2),  # (1, 1) sums exactly to the threshold 2.0: each alone is below it
+        ([1.5, 1.5], 1.0, 1),  # each of 1.5 is below the threshold 2.0, their sum is above
+    ])
+    def test_termination_at_the_threshold_edge(self, demands, stop_eps, terminated):
+        # users at the origin under a hover drain exactly 1.0 per slot at unit physics
+        scn = unit_scn([[0.0, 0.0]] * len(demands), demands)
+        ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
+        fast, stepped_tape = array_and_loop(ctl, scn, 10, stop_eps)
+        assert fast == stepped_tape and fast[2] == terminated
+        assert policy.policy_tape(ctl, 10, stop_eps * scn.k) is not None
+
+    def test_zero_and_negative_zero_demands(self):
+        scn = unit_scn([[1.0, 0.5], [2.0, -1.0], [-3.0, 2.0]], [2.0, 0.0, -0.0])
+        ctl = controller(scn, hidden=(8,))
+        fast, stepped_tape = array_and_loop(ctl, scn, 40)
+        assert fast == stepped_tape
+        assert policy.policy_tape(ctl, 40, 1e-3 * scn.k) is not None
+
+    def test_clamp_is_np_maximum(self):
+        xs = [-0.0, 0.0, math.nan, -1.0, 2.0]
+        assert np.array([env.clamp(x) for x in xs]).tobytes() == np.maximum(0.0, np.array(xs)).tobytes()
+
+    def test_witness_user_drains_first(self):
+        # user 0, the first backlog over the threshold, drains in two slots of the hover;
+        # the far users keep the mission going
+        scn = unit_scn([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], [2.0, 30.0, 30.0])
+        ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
+        fast, stepped_tape = array_and_loop(ctl, scn, 10)
+        assert fast == stepped_tape and fast[2] is None
+        backlogs = policy.policy_tape(ctl, 10, 1e-3 * scn.k)[1]
+        assert backlogs[2:, 0].tolist() == [0.0] * 9 and np.all(backlogs[:, 1:] > 20.0)
+
+    @pytest.mark.parametrize("altitude, sigma2, demand", [(1e200, 1.0, 0.0), (1e-200, 1e-200, 1.0)])
+    def test_radio_constants_the_floats_cannot_take(self, altitude, sigma2, demand):
+        # H^2 raises OverflowError in Python; or (d2 + H^2) * sigma2 is 0.0 over the user,
+        # where a float eta / 0.0 raises and the loop's array gives inf: both take the loop
+        scn = unit_scn([[0.0, 0.0]], [demand], altitude=altitude, sigma2=sigma2)
+        ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
+        assert policy.policy_tape(ctl, 5, 1e-3) is None
+        with np.errstate(divide="ignore"):
+            fast, stepped_tape = array_and_loop(ctl, scn, 5)
+        assert fast == stepped_tape and fast[2] == 1 - (demand == 0.0)
 
     def test_warnings_are_the_loop_warnings(self):
         scn = long_preset()

@@ -18,6 +18,7 @@ from aavtraj import (
     save_checkpoint,
 )
 from aavtraj.policy import (
+    FloatObserver,
     LayerSpec,
     activations,
     forward,
@@ -89,6 +90,21 @@ class TestObserve:
         obs = observe(x, scn)
         assert obs[2 + 2 * scn.k] == 0.0
         assert obs[2 + 2 * scn.k + 1] == 0.5
+
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 10), zeros=st.integers(0, 2**10 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_float_observer_matches_observations_bytes(self, seed, k, zeros):
+        # zeros picks users of zero demand (alternately 0.0 and -0.0), whose fractions stay 0
+        scn = generate_scenario(seed, k=k, area_side=7.0, demand_lo=0.5, demand_hi=40.0)
+        zero = [(zeros >> i) & 1 for i in range(k)]
+        demands = [(0.0 if i % 2 else -0.0) if z else dem for i, (z, dem) in enumerate(zip(zero, scn.demands))]
+        scn = replace(scn, demands=np.array(demands))
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-5.0, 5.0, size=2)
+        d = np.where(zero, rng.choice([0.0, -0.0, 1.5], size=k), rng.uniform(0.0, 40.0, size=k))
+        obs, offsets = FloatObserver(scn).observe(*q.tolist(), d.tolist())
+        assert np.array(obs).tobytes() == observations(q, d, scn).tobytes()
+        assert np.array(offsets).tobytes() == (scn.user_positions - q).tobytes()
 
     def test_jacobian_matches_fd(self):
         scn = generate_scenario(4, k=3)

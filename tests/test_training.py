@@ -97,6 +97,11 @@ class TestClip:
         assert np.linalg.norm(clipped) <= 10.0
         assert np.linalg.norm(clipped) == pytest.approx(10.0, rel=1e-15)
 
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_a_threshold_that_is_not_positive_and_finite(self, threshold):
+        with pytest.raises(ScenarioError, match="clip_threshold must be a positive finite number"):
+            clip_gradient(np.array([3.0, 4.0]), threshold)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
            st.floats(0.1, 100.0))
     @settings(max_examples=200, deadline=None)

@@ -11,7 +11,8 @@ only one side has. It exits 1 if any did, 0 otherwise.
 
 - rollouts of a policy and of random controls, and both reverse sweeps
   (closed loop at beta 0 and 1), on TAPES tapes of each preset with K in
-  KS and up to 500 steps;
+  KS and up to 500 steps, a K=20 tape and a tape with a zero-demand user
+  of each preset, and a long-preset tape of up to 1500 steps;
 - a 5-iteration training log on the long preset without its wall-clock
   columns, and the trained parameters;
 - a 3-generation GA log and best plan on each preset;
@@ -55,34 +56,50 @@ def tape_outputs(tag: str, traj) -> dict:
              "completion_step", "terminated_step")}
 
 
-def sweep_outputs(tapes: int = TAPES) -> dict:
-    """Rollouts and both sweeps' outputs on tapes seeded tapes of each preset."""
-    from aavtraj import (PolicyController, SequenceController, backward_closedloop, backward_openloop,
-                         generate_scenario, init_params, rollout)
+def tape_cases(tapes: int = TAPES):
+    """(tag, scenario, seed, t_max) of each tape: tapes seeded tapes of each
+    preset with K cycling through KS, then per preset a K=20 tape and one
+    with a zero-demand user, then a long-preset tape of up to 1500 steps."""
+    from dataclasses import replace
 
-    out = {}
+    from aavtraj import generate_scenario
+
     for preset, (lo, hi) in PRESETS.items():
         for i in range(tapes):
             k = KS[i % len(KS)]
-            scn = generate_scenario(i, k=k, demand_lo=lo, demand_hi=hi)
-            params = init_params(i, k=k)
-            tag = f"{preset}.{i}.k{k}"
-            traj = rollout(PolicyController(params, scn), scn, 500, 1e-3)
-            out.update(tape_outputs(f"{tag}.policy", traj))
-            costates, grads = backward_openloop(traj, scn)
-            out[f"{tag}.open.costates"] = np.asarray(costates)
-            out[f"{tag}.open.action_grads"] = grads
-            for beta in (0.0, 1.0):
-                bundle = backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3)
-                for name, value in asdict(bundle).items():
-                    out[f"{tag}.closed.beta{beta:g}.{name}"] = value
-            rng = np.random.default_rng(i)
-            controls = np.column_stack([rng.uniform(0.0, scn.v_max, 500), rng.uniform(-np.pi, np.pi, 500)])
-            replay = rollout(SequenceController(controls), scn, 500, 1e-3)
-            out.update(tape_outputs(f"{tag}.sequence", replay))
-            costates, grads = backward_openloop(replay, scn)
-            out[f"{tag}.sequence.open.costates"] = np.asarray(costates)
-            out[f"{tag}.sequence.open.action_grads"] = grads
+            yield f"{preset}.{i}.k{k}", generate_scenario(i, k=k, demand_lo=lo, demand_hi=hi), i, 500
+        yield f"{preset}.k20", generate_scenario(100, k=20, demand_lo=lo, demand_hi=hi), 100, 500
+        scn = generate_scenario(101, k=4, demand_lo=lo, demand_hi=hi)
+        yield (f"{preset}.zero-demand.k4", replace(scn, demands=np.where(np.arange(4) == 1, 0.0, scn.demands)),
+               101, 500)
+    lo, hi = PRESETS["long"]
+    yield "long.t1500.k4", generate_scenario(0, k=4, demand_lo=lo, demand_hi=hi), 0, 1500
+
+
+def sweep_outputs(tapes: int = TAPES) -> dict:
+    """Rollouts and both sweeps' outputs on each of tape_cases(tapes)."""
+    from aavtraj import (PolicyController, SequenceController, backward_closedloop, backward_openloop,
+                         init_params, rollout)
+
+    out = {}
+    for tag, scn, seed, t_max in tape_cases(tapes):
+        params = init_params(seed, k=scn.k)
+        traj = rollout(PolicyController(params, scn), scn, t_max, 1e-3)
+        out.update(tape_outputs(f"{tag}.policy", traj))
+        costates, grads = backward_openloop(traj, scn)
+        out[f"{tag}.open.costates"] = np.asarray(costates)
+        out[f"{tag}.open.action_grads"] = grads
+        for beta in (0.0, 1.0):
+            bundle = backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3)
+            for name, value in asdict(bundle).items():
+                out[f"{tag}.closed.beta{beta:g}.{name}"] = value
+        rng = np.random.default_rng(seed)
+        controls = np.column_stack([rng.uniform(0.0, scn.v_max, t_max), rng.uniform(-np.pi, np.pi, t_max)])
+        replay = rollout(SequenceController(controls), scn, t_max, 1e-3)
+        out.update(tape_outputs(f"{tag}.sequence", replay))
+        costates, grads = backward_openloop(replay, scn)
+        out[f"{tag}.sequence.open.costates"] = np.asarray(costates)
+        out[f"{tag}.sequence.open.action_grads"] = grads
     return out
 
 
