@@ -9,7 +9,6 @@ apples to apples.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .env import (  # SequenceController stays importable from here
+    OPEN_LOOP_CHUNK,
+    OPEN_LOOP_SEGMENT,
     Control,
+    NumericFailure,
     Scenario,
     ScenarioError,
     SequenceController,
@@ -27,8 +29,11 @@ from .env import (  # SequenceController stays importable from here
     check_nonnegative,
     check_positive,
     check_seed,
+    is_number,
+    open_loop_segment,
     rates,
     rollout,
+    stage_costs,
 )
 from .smoothing import smoothness_penalty
 
@@ -70,8 +75,7 @@ class GreedyConfig:
         check_int("heading_grid", self.heading_grid, 1)
         if self.speed_grid is not None:
             grid = self.speed_grid
-            if not (np.iterable(grid) and all(
-                    isinstance(s, numbers.Real) and not isinstance(s, bool) for s in grid)):
+            if not (np.iterable(grid) and all(is_number(s) for s in grid)):
                 raise ScenarioError(f"speed_grid must be a list of numbers, got {grid!r}")
             self.speed_grid = tuple(float(s) for s in grid)
 
@@ -135,10 +139,12 @@ class GaConfig:
             raise ScenarioError("tournament_size must be in [1, population]")
         if self.elitism >= self.population:
             raise ScenarioError("elitism must be in [0, population)")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ScenarioError(f"crossover_rate must be in [0, 1], got {self.crossover_rate!r}")
-        if len(self.mutation_std) != 2 or not all(0.0 <= s < math.inf for s in self.mutation_std):
-            raise ScenarioError(f"mutation_std must be two finite numbers >= 0, got {self.mutation_std!r}")
+        if not (is_number(self.crossover_rate) and 0.0 <= self.crossover_rate <= 1.0):
+            raise ScenarioError(f"crossover_rate must be a number in [0, 1], got {self.crossover_rate!r}")
+        std = self.mutation_std
+        if not (isinstance(std, (tuple, list)) and len(std) == 2
+                and all(is_number(s) and 0.0 <= s < math.inf for s in std)):
+            raise ScenarioError(f"mutation_std must be two finite numbers >= 0, got {std!r}")
         check_positive("stop_eps", self.stop_eps)
         for name in ("beta", "alpha"):
             check_nonnegative(name, getattr(self, name))
@@ -146,7 +152,76 @@ class GaConfig:
 
 def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:
     traj = rollout(SequenceController(chrom), scn, cfg.chromosome_length, cfg.stop_eps)
-    return -(traj.task_cost() + cfg.beta * smoothness_penalty(traj.controls, cfg.alpha))
+    return _objective(traj.stage_costs, traj.controls, cfg)
+
+
+def _objective(stage_costs: np.ndarray, controls: np.ndarray, cfg: GaConfig) -> float:
+    """Minus the task cost (stage costs summed one by one in step order, as
+
+    TrajectoryRecord.task_cost adds them) and the weighted smoothness
+    penalty of the controls taken.
+    """
+    return -(float(sum(stage_costs.tolist())) + cfg.beta * smoothness_penalty(controls, cfg.alpha))
+
+
+def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.ndarray:
+    """[_fitness(c, scn, cfg) for c in pop] for a population (P, T, 2), bit for bit.
+
+    Each member's first OPEN_LOOP_SEGMENT steps are a rollout of their
+    own, and a member whose mission ends there is scored off it. The
+    members still running go on together: one open_loop_segment pass per
+    OPEN_LOOP_CHUNK steps over all of them, from the rows each reached,
+    dropping members as their missions end. Each is then scored on its
+    own rows. A member whose steps would raise takes _fitness, in
+    population order, so the exception raised is the scalar loop's.
+    """
+    t_len = pop.shape[1]
+    head = min(OPEN_LOOP_SEGMENT, t_len)
+    fitness = np.empty(pop.shape[0])
+    running, heads = [], []
+    for i, chrom in enumerate(pop):
+        try:
+            traj = rollout(SequenceController(chrom), scn, head, cfg.stop_eps)
+        except (ScenarioError, NumericFailure):
+            for j in running:  # an earlier member that runs on may raise first
+                _fitness(pop[j], scn, cfg)
+            raise
+        if traj.terminated_step is None and head < t_len:
+            running.append(i)
+            heads.append(traj)
+        else:
+            fitness[i] = _objective(traj.stage_costs, traj.controls, cfg)
+    if not running:
+        return fitness
+
+    costs = np.empty((pop.shape[0], t_len))
+    steps = np.full(pop.shape[0], t_len)
+    failed = np.zeros(pop.shape[0], dtype=bool)
+    live = np.array(running)
+    costs[live, :head] = [traj.stage_costs for traj in heads]
+    q = np.array([traj.positions[-1] for traj in heads])
+    d = np.array([traj.backlogs[-1] for traj in heads])
+    threshold = cfg.stop_eps * scn.k
+    for start in range(head, t_len, OPEN_LOOP_CHUNK):
+        stop = min(start + OPEN_LOOP_CHUNK, t_len)
+        seg = open_loop_segment(pop[live, start:stop], q, d, scn, threshold)
+        # rows after a member's end are never read, and may overflow
+        with np.errstate(all="ignore"):
+            chunk = stage_costs(seg.positions[:, 1:].reshape(-1, 2), seg.backlogs[:, 1:].reshape(-1, scn.k), scn)
+        costs[live, start:stop] = chunk.reshape(live.size, stop - start)
+        steps[live[seg.ended]] = start + seg.end[seg.ended]
+        failed[live[~seg.valid]] = True
+        keep = ~seg.ended & seg.valid
+        if not keep.any():
+            break
+        live, q, d = live[keep], seg.positions[keep, -1], seg.backlogs[keep, -1]
+
+    for i in running:
+        if failed[i]:
+            fitness[i] = _fitness(pop[i], scn, cfg)
+        else:
+            fitness[i] = _objective(costs[i, : steps[i]], pop[i, : steps[i]], cfg)
+    return fitness
 
 
 def _tournament(rng: np.random.Generator, fitness: np.ndarray, size: int) -> int:
@@ -170,7 +245,7 @@ def ga_optimize(
     pop = np.empty((cfg.population, t_len, 2))
     pop[:, :, 0] = rng.uniform(0.0, scn.v_max, size=(cfg.population, t_len))
     pop[:, :, 1] = rng.uniform(0.0, TWO_PI, size=(cfg.population, t_len))
-    fitness = np.array([_fitness(c, scn, cfg) for c in pop])
+    fitness = _population_fitness(pop, scn, cfg)
 
     best_idx = int(np.argmax(fitness))
     best = pop[best_idx].copy()
@@ -200,7 +275,7 @@ def ga_optimize(
                 children.append(cb)
         pop = np.stack(children)
         # an elite's fitness is known: only the bred children are rolled out
-        fitness = np.concatenate([fitness[elites], [_fitness(c, scn, cfg) for c in children[cfg.elitism:]]])
+        fitness = np.concatenate([fitness[elites], _population_fitness(pop[cfg.elitism:], scn, cfg)])
         gen_best = int(np.argmax(fitness))
         if float(fitness[gen_best]) > best_fit:
             best_fit = float(fitness[gen_best])

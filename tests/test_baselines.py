@@ -1,14 +1,18 @@
 """Greedy rule, genetic search, and the shared mission evaluator."""
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aavtraj import (
     GaConfig,
     GreedyConfig,
     GreedyController,
+    NumericFailure,
     PolicyController,
     Scenario,
     ScenarioError,
@@ -20,9 +24,10 @@ from aavtraj import (
     mission_metrics,
     rollout,
 )
+from aavtraj import baselines
 from aavtraj.baselines import ConstantController, SequenceController, greedy_action
-from aavtraj.env import rates
-from aavtraj.smoothing import wrap_angle
+from aavtraj.env import OPEN_LOOP_CHUNK, OPEN_LOOP_SEGMENT, rates
+from aavtraj.smoothing import smoothness_penalty, wrap_angle
 
 
 def scn_with(users, demands, **kw):
@@ -198,6 +203,246 @@ class TestGa:
     def test_operator_rates_at_their_bounds_accepted(self):
         GaConfig(mutation_std=[0, 0.0], crossover_rate=0)
         GaConfig(mutation_std=(0.5, 2), crossover_rate=1.0)
+        GaConfig(mutation_std=(np.float64(0.1), np.int64(1)), crossover_rate=np.float32(0.5), beta=np.float64(2.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("mutation_std", "ab"), ("mutation_std", 5), ("mutation_std", None), ("mutation_std", (0.02, True)),
+        ("mutation_std", (0.02, "0.3")), ("mutation_std", np.array([0.02, 0.3])), ("crossover_rate", True),
+        ("crossover_rate", "0.5"), ("crossover_rate", None), ("stop_eps", "1e-3"), ("stop_eps", True),
+        ("beta", "1"), ("alpha", False), ("alpha", [1e-3]),
+    ])
+    def test_values_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            GaConfig(**{field: value})
+
+
+def reference_fitness(chrom, scn, cfg):
+    """One member's fitness as ga_optimize scored it before the population pass."""
+    traj = rollout(SequenceController(chrom), scn, cfg.chromosome_length, cfg.stop_eps)
+    return -(traj.task_cost() + cfg.beta * smoothness_penalty(traj.controls, cfg.alpha))
+
+
+def scalar_fitness(pop, scn, cfg):
+    """The oracle: one reference_fitness call per member, in population order."""
+    return np.array([reference_fitness(c, scn, cfg) for c in pop])
+
+
+def fitness_outcome(fitness, pop, scn, cfg):
+    """The bytes of fitness(pop, scn, cfg), or the type, message, step and where of what it raised."""
+    try:
+        got = fitness(pop, scn, cfg)
+    except (ScenarioError, NumericFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "where", None)
+    return got.dtype, got.shape, got.tobytes()
+
+
+def batch_and_scalar(pop, scn, cfg):
+    return (fitness_outcome(baselines._population_fitness, pop, scn, cfg),
+            fitness_outcome(scalar_fitness, pop, scn, cfg))
+
+
+def hover_scn(demand):
+    """One user under the vehicle's start: a hovering member drains exactly 1.0 per slot, so it
+
+    ends at step ceil(demand); members flying off drain less."""
+    return scn_with([[0.0, 0.0]], [demand], sigma2=1.0)
+
+
+def random_population(rng, scn, size, length):
+    pop = np.empty((size, length, 2))
+    pop[..., 0] = rng.uniform(0.0, scn.v_max, (size, length))
+    pick = rng.random((size, length))
+    pop[..., 0][pick < 0.15] = 0.0
+    pop[..., 0][pick > 0.85] = scn.v_max
+    pop[..., 1] = rng.uniform(0.0, 2.0 * math.pi, (size, length))
+    return pop
+
+
+# the first chunk of the population pass ends on this row
+CHUNK_END = OPEN_LOOP_SEGMENT + OPEN_LOOP_CHUNK
+BAD_GENES = [(0, math.nan), (0, math.inf), (0, -0.1), (0, 0.3), (1, math.nan), (1, math.inf), (1, -math.inf)]
+
+
+@st.composite
+def population_cases(draw):
+    k = draw(st.integers(1, 10))
+    lo, hi = draw(st.sampled_from([(0.5, 1.0), (2.0, 5.0), (4.0, 8.0), (20.0, 40.0)]))
+    scn = generate_scenario(draw(st.integers(0, 2**16)), k=k, demand_lo=lo, demand_hi=hi)
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, k - 1))
+        scn = replace(scn, demands=np.where(np.arange(k) == zero, 0.0, scn.demands))
+    length = draw(st.one_of(st.integers(1, OPEN_LOOP_SEGMENT - 1), st.integers(OPEN_LOOP_SEGMENT, 3 * CHUNK_END),
+                            st.just(500)))
+    size = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pop = random_population(rng, scn, size, length)
+    hover = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    pop[hover, :, 0] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        column, value = draw(st.sampled_from(BAD_GENES))
+        pop[draw(st.integers(0, size - 1)), draw(st.integers(0, length - 1)), column] = value
+    beta, alpha = draw(st.sampled_from([(1.0, 1e-3), (0.5, 2.0), (0.0, 1e-3)]))
+    return pop, scn, GaConfig(chromosome_length=length, beta=beta, alpha=alpha)
+
+
+class TestPopulationFitness:
+    """ga_optimize scores a population with _population_fitness: each member's
+
+    first OPEN_LOOP_SEGMENT steps on their own, the rest as one pass over the
+    members still running. One fitness rollout per member is the oracle.
+    """
+
+    @given(case=population_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_fitness_bytes(self, case):
+        batched, scalar = batch_and_scalar(*case)
+        assert batched == scalar
+
+    @pytest.mark.parametrize("length", [5, OPEN_LOOP_SEGMENT, OPEN_LOOP_SEGMENT + 1, CHUNK_END,
+                                        CHUNK_END + OPEN_LOOP_CHUNK + 3, 150])
+    @pytest.mark.parametrize("end", [3, OPEN_LOOP_SEGMENT, OPEN_LOOP_SEGMENT + 1, CHUNK_END, CHUNK_END + 1,
+                                     CHUNK_END + OPEN_LOOP_CHUNK + 2, None])
+    def test_members_ending_at_the_edges(self, end, length):
+        # end None: the hovering members never end and hover to t_max
+        scn = hover_scn(1000.0 if end is None else end - 0.5)
+        pop = random_population(np.random.default_rng(length), scn, 12, length)
+        pop[::2, :, 0] = 0.0
+        batched, scalar = batch_and_scalar(pop, scn, GaConfig(chromosome_length=length))
+        assert batched == scalar
+        hover_end = rollout(SequenceController(pop[0]), scn, length, 1e-3).terminated_step
+        assert hover_end == (end if end is not None and end <= length else None)
+
+    @pytest.mark.parametrize("step", [OPEN_LOOP_SEGMENT, OPEN_LOOP_SEGMENT + 1, CHUNK_END - 1, CHUNK_END, 59])
+    @pytest.mark.parametrize("column, value", BAD_GENES)
+    def test_bad_gene_past_the_first_segment_raises_like_the_scalar_loop(self, step, column, value):
+        scn = generate_scenario(3, k=3, demand_lo=20.0, demand_hi=40.0)
+        pop = random_population(np.random.default_rng(step), scn, 10, 60)
+        pop[4, step, column] = value
+        pop[7, step - 4, column] = value  # a later member failing at an earlier step
+        pop[9, 0, 0] = math.nan  # a later member failing in its first segment
+        batched, scalar = batch_and_scalar(pop, scn, GaConfig(chromosome_length=60))
+        assert batched == scalar
+        assert scalar[0] in (ScenarioError, NumericFailure)
+        if scalar[0] is NumericFailure:
+            assert scalar[2] == step  # member 4's
+        else:
+            assert scalar[1] == f"speed {value} outside [0, {scn.v_max}]"
+
+    def test_gene_after_the_end_is_never_read(self):
+        scn = hover_scn(CHUNK_END + 4.5)
+        pop = random_population(np.random.default_rng(0), scn, 12, 120)
+        pop[:, :, 0] = 0.0
+        want = scalar_fitness(pop, scn, GaConfig(chromosome_length=120))
+        pop[:, CHUNK_END + 5 :] = math.nan
+        got = baselines._population_fitness(pop, scn, GaConfig(chromosome_length=120))
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_pass_drops_members_as_they_end(self, monkeypatch):
+        batches = []
+        original = baselines.open_loop_segment
+
+        def recording(controls, *args):
+            batches.append(controls.shape[:2])
+            return original(controls, *args)
+
+        monkeypatch.setattr(baselines, "open_loop_segment", recording)
+        length = CHUNK_END + 2 * OPEN_LOOP_CHUNK + 3
+        scn = hover_scn(CHUNK_END + 4.5)
+        pop = np.zeros((6, length, 2))
+        pop[3:, :, 0] = scn.v_max  # flying straight off, these never end
+        cfg = GaConfig(chromosome_length=length)
+        got = baselines._population_fitness(pop, scn, cfg)
+        assert got.tobytes() == scalar_fitness(pop, scn, cfg).tobytes()
+        assert batches == [(6, OPEN_LOOP_CHUNK), (6, OPEN_LOOP_CHUNK), (3, OPEN_LOOP_CHUNK), (3, 3)]
+        batches.clear()
+        baselines._population_fitness(pop[:3], hover_scn(OPEN_LOOP_SEGMENT - 0.5), cfg)
+        assert batches == []  # every member ended in its first segment
+
+
+def reference_ga_optimize(scn, cfg, evaluations):
+    """ga_optimize as it was with one fitness rollout per member, appending each
+
+    evaluated fitness array (the initial population's, then each generation's
+    children's) to evaluations. The reference for the population pass."""
+    rng = np.random.default_rng(cfg.seed)
+    t_len = cfg.chromosome_length
+    pop = np.empty((cfg.population, t_len, 2))
+    pop[:, :, 0] = rng.uniform(0.0, scn.v_max, size=(cfg.population, t_len))
+    pop[:, :, 1] = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.population, t_len))
+    fitness = scalar_fitness(pop, scn, cfg)
+    evaluations.append(fitness)
+
+    best_idx = int(np.argmax(fitness))
+    best = pop[best_idx].copy()
+    best_fit = float(fitness[best_idx])
+    log = [best_fit]
+
+    v_std, th_std = cfg.mutation_std
+    for _ in range(cfg.generations):
+        elites = np.argsort(-fitness, kind="stable")[: cfg.elitism]
+        children = [pop[i].copy() for i in elites]
+        while len(children) < cfg.population:
+            pa = pop[baselines._tournament(rng, fitness, cfg.tournament_size)]
+            pb = pop[baselines._tournament(rng, fitness, cfg.tournament_size)]
+            ca, cb = pa.copy(), pb.copy()
+            if t_len > 1 and rng.random() < cfg.crossover_rate:
+                cut = int(rng.integers(1, t_len))
+                ca[:cut], cb[:cut] = pb[:cut].copy(), pa[:cut].copy()
+            for child in (ca, cb):
+                child[:, 0] = np.clip(child[:, 0] + rng.normal(0.0, v_std, t_len), 0.0, scn.v_max)
+                child[:, 1] = child[:, 1] + rng.normal(0.0, th_std, t_len)
+            children.append(ca)
+            if len(children) < cfg.population:
+                children.append(cb)
+        pop = np.stack(children)
+        bred = scalar_fitness(children[cfg.elitism:], scn, cfg)
+        evaluations.append(bred)
+        fitness = np.concatenate([fitness[elites], bred])
+        gen_best = int(np.argmax(fitness))
+        if float(fitness[gen_best]) > best_fit:
+            best_fit = float(fitness[gen_best])
+            best = pop[gen_best].copy()
+        log.append(best_fit)
+
+    return best, log
+
+
+class TestGaAgainstTheReferenceLoop:
+    @pytest.mark.parametrize("scn, cfg", [
+        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0), GaConfig(generations=3, seed=0)),
+        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0), GaConfig(generations=3, seed=7)),
+        (generate_scenario(5, k=10, demand_lo=20.0, demand_hi=40.0),
+         GaConfig(population=16, generations=4, chromosome_length=97, elitism=3, seed=5)),
+        # random flights of 60 steps around one user: about half the members end in their first segment
+        (hover_scn(7.9), GaConfig(population=20, generations=4, chromosome_length=60, seed=0)),
+    ])
+    def test_outputs_and_every_fitness_array_equal_the_reference(self, monkeypatch, scn, cfg):
+        evaluations, ran_on = [], []
+        population_fitness, rollout_of = baselines._population_fitness, baselines.rollout
+
+        def recording(pop, *args):
+            evaluations.append(population_fitness(pop, *args))
+            return evaluations[-1]
+
+        def counting(policy, *args):
+            traj = rollout_of(policy, *args)
+            ran_on.append(traj.terminated_step is None)
+            return traj
+
+        monkeypatch.setattr(baselines, "_population_fitness", recording)
+        monkeypatch.setattr(baselines, "rollout", counting)
+        best, log = ga_optimize(scn, cfg)
+        monkeypatch.undo()
+        want = []
+        want_best, want_log = reference_ga_optimize(scn, cfg, want)
+        assert best.tobytes() == want_best.tobytes()
+        assert np.array(log).tobytes() == np.array(want_log).tobytes()
+        assert len(evaluations) == len(want) == cfg.generations + 1
+        for got, ref in zip(evaluations, want):
+            assert got.tobytes() == ref.tobytes()
+        assert any(ran_on)  # the pass ran
+        if cfg.chromosome_length == 60:
+            assert 0.2 < np.mean(ran_on) < 0.8
 
 
 class TestMissionMetrics:

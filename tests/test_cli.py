@@ -303,6 +303,19 @@ class TestBaseline:
         assert "population must be an integer >= 2, got 4.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, message", [
+        ({"mutation_std": "ab"}, "mutation_std must be two finite numbers >= 0, got 'ab'"),
+        ({"mutation_std": 5}, "mutation_std must be two finite numbers >= 0, got 5"),
+        ({"crossover_rate": True}, "crossover_rate must be a number in [0, 1], got True"),
+        ({"beta": "1"}, "beta must be a finite number >= 0, got '1'"),
+    ])
+    def test_ga_config_of_wrong_type_exit2(self, tmp_path, scenario_path, capsys, config, message):
+        cfg = write_json(tmp_path, "ga.json", {"population": 4, "generations": 1, **config})
+        code = main(["baseline", "--method", "ga", "--scenario", scenario_path,
+                     "--config", cfg, "--t-max", "5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
         ({"heading_grid": 2.5}, "heading_grid must be an integer >= 1, got 2.5"),
         ({"heading_grid": True}, "heading_grid must be an integer >= 1, got True"),
         ({"speed_grid": [0.1, "x"]}, "speed_grid must be a list of numbers, got [0.1, 'x']"),

@@ -15,7 +15,8 @@ only one side has. It exits 1 if any did, 0 otherwise.
   of each preset, and a long-preset tape of up to 1500 steps;
 - a 5-iteration training log on the long preset without its wall-clock
   columns, and the trained parameters;
-- a 3-generation GA log and best plan on each preset;
+- a 3-generation GA log and best plan on each preset, and on GA_LONG's
+  long-preset cases;
 - a K=2 sweep's detail.csv without sweep.TIMING_COLUMNS.
 
 `--digests` prints the digests of the aavtraj on the import path as JSON
@@ -114,6 +115,13 @@ def training_outputs() -> dict:
             "train.params": params.flat}
 
 
+# long-preset GA runs past the first segment: (tag, K, chromosome_length).
+# Length 60 ends before any member's mission, so the whole population
+# reaches t_max; 137 leaves 129 (3 x 43) steps after the first segment,
+# so the last chunk is a short one.
+GA_LONG = (("t60.k4", 4, 60), ("t137.k4", 4, 137), ("k1", 1, 500), ("k10", 10, 500))
+
+
 def ga_outputs() -> dict:
     from aavtraj import GaConfig, ga_optimize, generate_scenario
 
@@ -122,6 +130,11 @@ def ga_outputs() -> dict:
         best, log = ga_optimize(generate_scenario(1, k=3, demand_lo=lo, demand_hi=hi),
                                 GaConfig(generations=3, seed=0))
         out[f"ga.{preset}.log"], out[f"ga.{preset}.best"] = log, best
+    lo, hi = PRESETS["long"]
+    for tag, k, length in GA_LONG:
+        best, log = ga_optimize(generate_scenario(0, k=k, demand_lo=lo, demand_hi=hi),
+                                GaConfig(generations=3, chromosome_length=length, seed=0))
+        out[f"ga.long.{tag}.log"], out[f"ga.long.{tag}.best"] = log, best
     return out
 
 
