@@ -164,46 +164,89 @@ def _objective(stage_costs: np.ndarray, controls: np.ndarray, cfg: GaConfig) -> 
     return -(float(sum(stage_costs.tolist())) + cfg.beta * smoothness_penalty(controls, cfg.alpha))
 
 
+def _cannot_end_within(scn: Scenario, steps: int, threshold: float) -> bool:
+    """Whether the scenario alone rules out any mission ending within its first steps steps.
+
+    A user's rate falls with its horizontal distance from the vehicle, so
+    no slot drains it by more than drain = r_max * tau, r_max being the
+    rate straight above it (env.rates at distance 0). Whatever the
+    controls, every backlog sum up to row steps is then at least
+    left = sum_i max(0, d_i - steps * drain), and the mission, which ends
+    on the first row whose sum is below the threshold, cannot end by row
+    steps while left is not below it.
+
+    The rollout rounds, and so does left. The rollout's drains are the
+    same operations on squared distances >= 0, so each is at most a few
+    ulps above drain. Every other operation on either side, at most
+    (2 * steps + 3) * K subtractions, products, clamps and additions, is
+    off by at most an ulp of a number no larger than
+    scale = sum_i d_i + K * steps * drain. The margin,
+    (K + steps) * scale * 2**-40, is 4096 such ulps per user and step,
+    far more than they can add up to. A non-finite drain makes the
+    margin infinite and the answer False.
+    """
+    drain = float(rates(scn.user_positions[0], scn)[0]) * scn.tau
+    demands = scn.demands.tolist()
+    left = sum(max(0.0, d - steps * drain) for d in demands)
+    margin = (scn.k + steps) * (sum(demands) + scn.k * steps * drain) * 2.0**-40
+    return left > threshold + margin
+
+
 def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.ndarray:
     """[_fitness(c, scn, cfg) for c in pop] for a population (P, T, 2), bit for bit.
 
-    Each member's first OPEN_LOOP_SEGMENT steps are a rollout of their
-    own, and a member whose mission ends there is scored off it. The
-    members still running go on together: one open_loop_segment pass per
+    The members run together: one open_loop_segment pass per
     OPEN_LOOP_CHUNK steps over all of them, from the rows each reached,
     dropping members as their missions end. Each is then scored on its
     own rows. A member whose steps would raise takes _fitness, in
     population order, so the exception raised is the scalar loop's.
-    """
-    t_len = pop.shape[1]
-    head = min(OPEN_LOOP_SEGMENT, t_len)
-    fitness = np.empty(pop.shape[0])
-    running, heads = [], []
-    for i, chrom in enumerate(pop):
-        try:
-            traj = rollout(SequenceController(chrom), scn, head, cfg.stop_eps)
-        except (ScenarioError, NumericFailure):
-            for j in running:  # an earlier member that runs on may raise first
-                _fitness(pop[j], scn, cfg)
-            raise
-        if traj.terminated_step is None and head < t_len:
-            running.append(i)
-            heads.append(traj)
-        else:
-            fitness[i] = _objective(traj.stage_costs, traj.controls, cfg)
-    if not running:
-        return fitness
 
-    costs = np.empty((pop.shape[0], t_len))
-    steps = np.full(pop.shape[0], t_len)
-    failed = np.zeros(pop.shape[0], dtype=bool)
-    live = np.array(running)
-    costs[live, :head] = [traj.stage_costs for traj in heads]
-    q = np.array([traj.positions[-1] for traj in heads])
-    d = np.array([traj.backlogs[-1] for traj in heads])
+    Where the pass starts depends on the scenario alone. When
+    _cannot_end_within rules out an end within the first
+    OPEN_LOOP_SEGMENT steps (long missions), the pass starts every member
+    at step 0 with a first pass of that many steps. Otherwise each
+    member's first segment is a rollout of its own, as on the default
+    2-4 step missions, where a pass over those steps made the GA fast
+    enough to flip acceptance check 6; a member whose mission ends there
+    is scored off it, and the pass takes the rest from step
+    OPEN_LOOP_SEGMENT. Either way the chunks start at the same steps and
+    the bits are those of one rollout per member.
+    """
+    size, t_len = pop.shape[:2]
+    head = min(OPEN_LOOP_SEGMENT, t_len)
     threshold = cfg.stop_eps * scn.k
-    for start in range(head, t_len, OPEN_LOOP_CHUNK):
-        stop = min(start + OPEN_LOOP_CHUNK, t_len)
+    fitness = np.empty(size)
+    if _cannot_end_within(scn, head, threshold):
+        running, start = list(range(size)), 0
+        q, d = np.zeros(2), scn.demands  # the initial state, broadcast over the members
+        costs = np.empty((size, t_len))
+    else:
+        running, heads = [], []
+        for i, chrom in enumerate(pop):
+            try:
+                traj = rollout(SequenceController(chrom), scn, head, cfg.stop_eps)
+            except (ScenarioError, NumericFailure):
+                for j in running:  # an earlier member that runs on may raise first
+                    _fitness(pop[j], scn, cfg)
+                raise
+            if traj.terminated_step is None and head < t_len:
+                running.append(i)
+                heads.append(traj)
+            else:
+                fitness[i] = _objective(traj.stage_costs, traj.controls, cfg)
+        if not running:
+            return fitness
+        start = head
+        costs = np.empty((size, t_len))
+        costs[running, :head] = [traj.stage_costs for traj in heads]
+        q = np.array([traj.positions[-1] for traj in heads])
+        d = np.array([traj.backlogs[-1] for traj in heads])
+
+    steps = np.full(size, t_len)
+    failed = np.zeros(size, dtype=bool)
+    live = np.array(running)
+    while start < t_len:
+        stop = min(start + OPEN_LOOP_CHUNK, t_len) if start else head
         seg = open_loop_segment(pop[live, start:stop], q, d, scn, threshold)
         # rows after a member's end are never read, and may overflow
         with np.errstate(all="ignore"):
@@ -215,6 +258,7 @@ def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.nda
         if not keep.any():
             break
         live, q, d = live[keep], seg.positions[keep, -1], seg.backlogs[keep, -1]
+        start = stop
 
     for i in running:
         if failed[i]:

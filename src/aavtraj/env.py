@@ -307,7 +307,10 @@ class SequenceController:
 
 # Steps of an open-loop replay evaluated before the first termination
 # check: default missions end in 2-4 steps, so a whole-horizon first
-# pass would mostly compute steps the mission never takes.
+# pass would mostly compute steps the mission never takes. The GA's
+# population pass (baselines._population_fitness) runs this first
+# segment as a rollout per member, unless the scenario rules out any
+# mission ending within it; then the pass runs it for all members.
 OPEN_LOOP_SEGMENT = 8
 # Steps per array pass when many open-loop replays go on together past
 # their first segment (baselines._population_fitness): a member whose

@@ -286,10 +286,12 @@ def population_cases(draw):
 
 
 class TestPopulationFitness:
-    """ga_optimize scores a population with _population_fitness: each member's
+    """ga_optimize scores a population with _population_fitness: one pass over
 
-    first OPEN_LOOP_SEGMENT steps on their own, the rest as one pass over the
-    members still running. One fitness rollout per member is the oracle.
+    the members still running. It starts at step 0 when the scenario rules
+    out an end within the first OPEN_LOOP_SEGMENT steps; otherwise each
+    member's first segment is a rollout of its own and the pass takes the
+    rest. One fitness rollout per member is the oracle.
     """
 
     @given(case=population_cases())
@@ -353,10 +355,104 @@ class TestPopulationFitness:
         cfg = GaConfig(chromosome_length=length)
         got = baselines._population_fitness(pop, scn, cfg)
         assert got.tobytes() == scalar_fitness(pop, scn, cfg).tobytes()
-        assert batches == [(6, OPEN_LOOP_CHUNK), (6, OPEN_LOOP_CHUNK), (3, OPEN_LOOP_CHUNK), (3, 3)]
+        # no member can end in its first segment, so the pass starts at step 0
+        assert batches == [(6, OPEN_LOOP_SEGMENT), (6, OPEN_LOOP_CHUNK), (6, OPEN_LOOP_CHUNK), (3, OPEN_LOOP_CHUNK),
+                           (3, 3)]
         batches.clear()
         baselines._population_fitness(pop[:3], hover_scn(OPEN_LOOP_SEGMENT - 0.5), cfg)
         assert batches == []  # every member ended in its first segment
+
+    @pytest.mark.parametrize("demand, gated, hover_end", [(OPEN_LOOP_SEGMENT, False, OPEN_LOOP_SEGMENT),
+                                                          (OPEN_LOOP_SEGMENT + 0.5, True, OPEN_LOOP_SEGMENT + 1)])
+    def test_first_segments_join_the_pass_only_when_no_member_can_end_in_them(
+            self, monkeypatch, demand, gated, hover_end):
+        # hovering over the one user drains it at the bound, 1.0 per slot
+        scn, length = hover_scn(demand), 60
+        cfg = GaConfig(chromosome_length=length)
+        assert baselines._cannot_end_within(scn, OPEN_LOOP_SEGMENT, cfg.stop_eps * scn.k) is gated
+        pop = random_population(np.random.default_rng(3), scn, 12, length)
+        pop[::3, :, 0] = 0.0
+        assert rollout(SequenceController(pop[0]), scn, length, cfg.stop_eps).terminated_step == hover_end
+        per_member, rollout_of = [], baselines.rollout
+
+        def counting(*args):
+            per_member.append(args[2])
+            return rollout_of(*args)
+
+        monkeypatch.setattr(baselines, "rollout", counting)
+        got = fitness_outcome(baselines._population_fitness, pop, scn, cfg)
+        monkeypatch.undo()
+        assert got == fitness_outcome(scalar_fitness, pop, scn, cfg)
+        assert per_member == ([] if gated else [OPEN_LOOP_SEGMENT] * 12)
+
+
+def rate_bound_drain(scn):
+    """The most any user can drain in one slot: its rate straight above it, times tau."""
+    return float(rates(scn.user_positions[0], scn)[0]) * scn.tau
+
+
+@st.composite
+def gate_cases(draw):
+    k = draw(st.integers(1, 10))
+    physics = dict(eta=draw(st.sampled_from([0.1, 1.0, 30.0])), sigma2=draw(st.sampled_from([0.01, 0.1, 1.0])),
+                   altitude=draw(st.sampled_from([0.3, 1.0, 4.0])))
+    scn = generate_scenario(draw(st.integers(0, 2**16)), k=k, area_side=draw(st.sampled_from([0.5, 3.0, 10.0])),
+                            **physics)
+    users = scn.user_positions.copy()
+    users[: draw(st.integers(0, k))] = 0.0  # users under the start drain at the bound while the vehicle hovers
+    scn = replace(scn, user_positions=users)
+    # backlogs near whole numbers of the largest drain, some of them zero
+    slots = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 12.0), st.integers(0, 12).map(float),
+                                    st.integers(1, 12).map(lambda n: n + 1e-9)), min_size=k, max_size=k))
+    scn = replace(scn, demands=np.array(slots) * rate_bound_drain(scn))
+    stop_eps = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    kind = draw(st.sampled_from(["hover", "greedy", "random"]))
+    if kind == "hover":
+        policy = ConstantController(0.0, 0.0)
+    elif kind == "greedy":
+        policy = GreedyController(scn)
+    else:
+        policy = SequenceController(random_population(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                                      scn, 1, 16)[0])
+    return scn, stop_eps, policy
+
+
+class TestFirstSegmentGate:
+    """_cannot_end_within(scn, n, threshold) decides from the scenario alone that
+
+    no rollout ends by row n; the population pass relies on it to start every
+    member at step 0.
+    """
+
+    @given(case=gate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_no_rollout_ends_by_a_gated_row(self, case):
+        scn, stop_eps, policy = case
+        traj = rollout(policy, scn, 16, stop_eps)
+        end = traj.terminated_step
+        for n in range(1, 17):
+            if baselines._cannot_end_within(scn, n, stop_eps * scn.k):
+                assert end is None or end > n
+                assert float(traj.backlogs[n].sum()) >= stop_eps * scn.k
+
+    @pytest.mark.parametrize("n", [1, 3, OPEN_LOOP_SEGMENT])
+    def test_the_bound_is_tight_for_a_hovering_vehicle(self, n):
+        # demand n drains to zero in exactly n slots over a colocated user; a hair more does not
+        for demand, gated in ((n, False), (n + 1e-6, True)):
+            scn = hover_scn(float(demand))
+            assert baselines._cannot_end_within(scn, n, 1e-9) is gated
+            end = rollout(ConstantController(0.0, 0.0), scn, 2 * n, 1e-9).terminated_step
+            assert end == (n + 1 if gated else n)
+
+    def test_default_missions_keep_their_first_segments_per_member(self):
+        for k in (1, 2, 4, 6, 8, 10):
+            for seed in range(200):
+                assert not baselines._cannot_end_within(generate_scenario(seed, k=k), OPEN_LOOP_SEGMENT, 1e-3 * k)
+
+    def test_a_non_finite_drain_never_gates(self):
+        scn = scn_with([[0.0, 0.0]], [1e300], eta=1e300, sigma2=1e-300)
+        with np.errstate(all="ignore"):
+            assert not baselines._cannot_end_within(scn, 1, 1e-3)
 
 
 def reference_ga_optimize(scn, cfg, evaluations):
@@ -408,17 +504,19 @@ def reference_ga_optimize(scn, cfg, evaluations):
 
 
 class TestGaAgainstTheReferenceLoop:
-    @pytest.mark.parametrize("scn, cfg", [
-        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0), GaConfig(generations=3, seed=0)),
-        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0), GaConfig(generations=3, seed=7)),
+    # per_member: whether each member's first segment is a rollout of its own
+    @pytest.mark.parametrize("scn, cfg, per_member", [
+        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0), GaConfig(generations=3, seed=0), False),
+        (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0), GaConfig(generations=3, seed=7), False),
         (generate_scenario(5, k=10, demand_lo=20.0, demand_hi=40.0),
-         GaConfig(population=16, generations=4, chromosome_length=97, elitism=3, seed=5)),
+         GaConfig(population=16, generations=4, chromosome_length=97, elitism=3, seed=5), False),
         # random flights of 60 steps around one user: about half the members end in their first segment
-        (hover_scn(7.9), GaConfig(population=20, generations=4, chromosome_length=60, seed=0)),
+        (hover_scn(7.9), GaConfig(population=20, generations=4, chromosome_length=60, seed=0), True),
     ])
-    def test_outputs_and_every_fitness_array_equal_the_reference(self, monkeypatch, scn, cfg):
-        evaluations, ran_on = [], []
+    def test_outputs_and_every_fitness_array_equal_the_reference(self, monkeypatch, scn, cfg, per_member):
+        evaluations, ran_on, batches = [], [], []
         population_fitness, rollout_of = baselines._population_fitness, baselines.rollout
+        segment_of = baselines.open_loop_segment
 
         def recording(pop, *args):
             evaluations.append(population_fitness(pop, *args))
@@ -429,8 +527,13 @@ class TestGaAgainstTheReferenceLoop:
             ran_on.append(traj.terminated_step is None)
             return traj
 
+        def segments(controls, *args):
+            batches.append(controls.shape[:2])
+            return segment_of(controls, *args)
+
         monkeypatch.setattr(baselines, "_population_fitness", recording)
         monkeypatch.setattr(baselines, "rollout", counting)
+        monkeypatch.setattr(baselines, "open_loop_segment", segments)
         best, log = ga_optimize(scn, cfg)
         monkeypatch.undo()
         want = []
@@ -440,9 +543,12 @@ class TestGaAgainstTheReferenceLoop:
         assert len(evaluations) == len(want) == cfg.generations + 1
         for got, ref in zip(evaluations, want):
             assert got.tobytes() == ref.tobytes()
-        assert any(ran_on)  # the pass ran
-        if cfg.chromosome_length == 60:
+        assert batches  # the pass ran
+        if per_member:
             assert 0.2 < np.mean(ran_on) < 0.8
+        else:
+            assert ran_on == []
+            assert batches[0] == (cfg.population, OPEN_LOOP_SEGMENT)
 
 
 class TestMissionMetrics:

@@ -38,12 +38,8 @@ def test_install_patches_and_uninstall_restores_every_name():
         assert getattr(module, attr) is orig, f"{module.__name__}.{attr}"
 
 
-def test_ga_fitness_rollouts_are_recorded_as_open_loop_spans():
-    # baselines.ga.rollout_ms_per_gen reads the env.rollout.open spans under
-    # each GA run, so the fitness rollouts must keep reaching the traced name
-    tracing = load_tracing()
-    tracer = tracing.Tracer()
-    tracer.install()
+def traced_ga(tracer, scn, cfg) -> list:
+    """Run ga_optimize under the installed tracer; returns the steps of each fitness rollout."""
     traced_rollout = aavtraj.baselines.rollout
     steps = []
 
@@ -53,13 +49,27 @@ def test_ga_fitness_rollouts_are_recorded_as_open_loop_spans():
         return traj
 
     aavtraj.baselines.rollout = recording
-    cfg = GaConfig(population=6, generations=3, chromosome_length=120, seed=0)
     try:
         tracer.active = True
-        aavtraj.baselines.ga_optimize(generate_scenario(0, k=4, demand_lo=20, demand_hi=40), cfg)
+        aavtraj.baselines.ga_optimize(scn, cfg)
         tracer.active = False
     finally:
         aavtraj.baselines.rollout = traced_rollout
+    return steps
+
+
+def test_ga_fitness_rollouts_are_recorded_as_open_loop_spans():
+    # baselines.ga.rollout_ms_per_gen reads the env.rollout.open spans under
+    # each GA run, so the fitness rollouts must keep reaching the traced name.
+    # On these missions a member may end in its first segment, so each
+    # member's first segment stays a rollout of its own.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    cfg = GaConfig(population=6, generations=3, chromosome_length=120, seed=0)
+    try:
+        steps = traced_ga(tracer, generate_scenario(0, k=4, demand_lo=4, demand_hi=8), cfg)
+    finally:
         tracer.uninstall()
 
     spans = tracer.arrays()
@@ -72,3 +82,18 @@ def test_ga_fitness_rollouts_are_recorded_as_open_loop_spans():
     per_gen = [sum(steps[cfg.population + g * bred:cfg.population + (g + 1) * bred]) for g in range(cfg.generations)]
     assert metrics["baselines.ga.rollout_steps_per_gen"][0] == np.median(per_gen)
     assert metrics["env.rollout.open_us_per_step"][0] > 0
+
+
+def test_long_preset_ga_makes_no_fitness_rollout():
+    # no member can end in its first segment, so the population pass runs
+    # every step and baselines.ga.rollout_ms_per_gen has no span to read
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        steps = traced_ga(tracer, generate_scenario(0, k=4, demand_lo=20, demand_hi=40),
+                          GaConfig(population=6, generations=3, chromosome_length=120, seed=0))
+    finally:
+        tracer.uninstall()
+    assert steps == []
+    assert "baselines.ga_optimize" in tracer.names and "env.rollout.open" not in tracer.names

@@ -16,7 +16,9 @@ only one side has. It exits 1 if any did, 0 otherwise.
 - a 5-iteration training log on the long preset without its wall-clock
   columns, and the trained parameters;
 - a 3-generation GA log and best plan on each preset, and on GA_LONG's
-  long-preset cases;
+  long-preset cases. The long preset's K=3 run and GA_LONG's K=4 and
+  K=10 runs take their first segments in the population pass; the
+  default preset's run and GA_LONG's K=1 run keep them per member;
 - a K=2 sweep's detail.csv without sweep.TIMING_COLUMNS.
 
 `--digests` prints the digests of the aavtraj on the import path as JSON
@@ -118,7 +120,10 @@ def training_outputs() -> dict:
 # long-preset GA runs past the first segment: (tag, K, chromosome_length).
 # Length 60 ends before any member's mission, so the whole population
 # reaches t_max; 137 leaves 129 (3 x 43) steps after the first segment,
-# so the last chunk is a short one.
+# so the last chunk is a short one. With K = 4 and 10 no member can end
+# in its first segment, so the population pass runs it too; the K = 1
+# user's demand could drain within it, so each member's first segment
+# stays a rollout of its own, as on the default preset.
 GA_LONG = (("t60.k4", 4, 60), ("t137.k4", 4, 137), ("k1", 1, 500), ("k10", 10, 500))
 
 
