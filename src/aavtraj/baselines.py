@@ -16,8 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .env import (  # SequenceController stays importable from here
-    OPEN_LOOP_CHUNK,
-    OPEN_LOOP_SEGMENT,
     Control,
     NumericFailure,
     Scenario,
@@ -150,6 +148,15 @@ class GaConfig:
             check_nonnegative(name, getattr(self, name))
 
 
+# Steps of the first open_loop_segment call of a population's fitness
+# pass: default missions end in 2-4 steps, so a longer first call would
+# mostly compute steps no mission takes.
+OPEN_LOOP_SEGMENT = 8
+# Steps per open_loop_segment call after the first: a member whose mission
+# ends inside a chunk computes the rest of the chunk for nothing.
+OPEN_LOOP_CHUNK = 20
+
+
 def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:
     traj = rollout(SequenceController(chrom), scn, cfg.chromosome_length, cfg.stop_eps)
     return _objective(traj.stage_costs, traj.controls, cfg)
@@ -195,33 +202,26 @@ def _cannot_end_within(scn: Scenario, steps: int, threshold: float) -> bool:
 def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.ndarray:
     """[_fitness(c, scn, cfg) for c in pop] for a population (P, T, 2), bit for bit.
 
-    The members run together: one open_loop_segment pass per
-    OPEN_LOOP_CHUNK steps over all of them, from the rows each reached,
-    dropping members as their missions end. Each is then scored on its
-    own rows. A member whose steps would raise takes _fitness, in
-    population order, so the exception raised is the scalar loop's.
+    The members run together in one pass from step 0: an open_loop_segment
+    call over the first OPEN_LOOP_SEGMENT steps of all of them, then one
+    per OPEN_LOOP_CHUNK steps from the rows each reached, dropping members
+    as their missions end. Each is then scored on its own rows. A member
+    whose steps would raise takes _fitness, in population order, so the
+    exception raised is the scalar loop's.
 
-    Where the pass starts depends on the scenario alone. When
-    _cannot_end_within rules out an end within the first
-    OPEN_LOOP_SEGMENT steps (long missions), the pass starts every member
-    at step 0 with a first pass of that many steps. Otherwise each
-    member's first segment is a rollout of its own, as on the default
-    2-4 step missions, where a pass over those steps made the GA fast
-    enough to flip acceptance check 6; a member whose mission ends there
-    is scored off it, and the pass takes the rest from step
-    OPEN_LOOP_SEGMENT. Either way the chunks start at the same steps and
-    the bits are those of one rollout per member.
+    Unless _cannot_end_within rules out an end within the first segment
+    (long missions), each member's first segment is first a rollout of its
+    own, as on the default 2-4 step missions, where a pass over those
+    steps made the GA fast enough to flip acceptance check 6. A member
+    whose mission ends there is scored off it; the rest join the pass.
     """
     size, t_len = pop.shape[:2]
     head = min(OPEN_LOOP_SEGMENT, t_len)
     threshold = cfg.stop_eps * scn.k
     fitness = np.empty(size)
-    if _cannot_end_within(scn, head, threshold):
-        running, start = list(range(size)), 0
-        q, d = np.zeros(2), scn.demands  # the initial state, broadcast over the members
-        costs = np.empty((size, t_len))
-    else:
-        running, heads = [], []
+    running = list(range(size))
+    if not _cannot_end_within(scn, head, threshold):
+        running = []
         for i, chrom in enumerate(pop):
             try:
                 traj = rollout(SequenceController(chrom), scn, head, cfg.stop_eps)
@@ -231,20 +231,17 @@ def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.nda
                 raise
             if traj.terminated_step is None and head < t_len:
                 running.append(i)
-                heads.append(traj)
             else:
                 fitness[i] = _objective(traj.stage_costs, traj.controls, cfg)
         if not running:
             return fitness
-        start = head
-        costs = np.empty((size, t_len))
-        costs[running, :head] = [traj.stage_costs for traj in heads]
-        q = np.array([traj.positions[-1] for traj in heads])
-        d = np.array([traj.backlogs[-1] for traj in heads])
 
+    costs = np.empty((size, t_len))
     steps = np.full(size, t_len)
     failed = np.zeros(size, dtype=bool)
     live = np.array(running)
+    q, d = np.zeros(2), scn.demands  # the initial state, broadcast over the members
+    start = 0
     while start < t_len:
         stop = min(start + OPEN_LOOP_CHUNK, t_len) if start else head
         seg = open_loop_segment(pop[live, start:stop], q, d, scn, threshold)

@@ -290,8 +290,8 @@ def initial_state(scn: Scenario) -> State:
 class SequenceController:
     """Replays a fixed (T, 2) array of (v, theta) rows.
 
-    rollout computes the tape of a SequenceController over the horizon
-    in array segments instead of calling it step by step; the tape and
+    rollout computes the tape of a SequenceController in one array pass
+    over the horizon instead of calling it step by step; the tape and
     any exception are those of the per-step loop.
     """
 
@@ -305,19 +305,6 @@ class SequenceController:
         return Control(float(v), float(theta))
 
 
-# Steps of an open-loop replay evaluated before the first termination
-# check: default missions end in 2-4 steps, so a whole-horizon first
-# pass would mostly compute steps the mission never takes. The GA's
-# population pass (baselines._population_fitness) runs this first
-# segment as a rollout per member, unless the scenario rules out any
-# mission ending within it; then the pass runs it for all members.
-OPEN_LOOP_SEGMENT = 8
-# Steps per array pass when many open-loop replays go on together past
-# their first segment (baselines._population_fitness): a member whose
-# mission ends inside a chunk computes the rest of the chunk for nothing.
-OPEN_LOOP_CHUNK = 20
-
-
 def rollout(
     policy: Callable[[int, State], Control],
     scn: Scenario,
@@ -329,12 +316,11 @@ def rollout(
     policy is any callable (t, state) -> Control. Termination is checked
     before each step: the mission ends once sum_i d_i < stop_eps * K, or
     after t_max steps. A SequenceController's controls are known up
-    front, so its tape is computed in array segments (_replay); a
-    PolicyController run on its own scenario steps with the state in
-    Python floats, the layers and the rates' log2 in numpy
-    (policy.policy_tape). Both give the step loop's bits and exceptions.
-    A PolicyController (or subclass) run on a scenario other than its own
-    or an equal copy raises ScenarioError.
+    front, so its tape is computed in one array pass (_replay); a
+    PolicyController steps with the state in Python floats, the layers
+    and the rates' log2 in numpy (policy.policy_tape). Both give the step
+    loop's bits and exceptions. A PolicyController (or subclass) run on a
+    scenario other than its own or an equal copy raises ScenarioError.
     """
     if t_max < 1:
         raise ScenarioError("t_max must be >= 1")
@@ -351,8 +337,8 @@ def rollout(
 
         if isinstance(policy, PolicyController):
             policy.check_scenario(scn)
-            if type(policy) is PolicyController and policy.scn is scn:
-                tape = policy_tape(policy, t_max, threshold)
+            if type(policy) is PolicyController:
+                tape = policy_tape(policy, scn, t_max, threshold)
     if tape is None:
         tape = _step_loop(policy, scn, t_max, threshold)
     positions, backlogs, controls, active_masks, terminated = tape
@@ -471,43 +457,26 @@ def open_loop_segment(
 
 
 def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
-    """_step_loop's result for a fixed (n, 2) control array, computed over
+    """_step_loop's result for a fixed (n, 2) control array, computed in one
 
-    the horizon with open_loop_segment, or None when a step before
-    termination would raise (non-finite or out-of-range control,
-    non-finite state, sequence exhausted); _step_loop then raises it.
-    The first OPEN_LOOP_SEGMENT steps are computed first and the rest of
-    the horizon only if the mission has not ended by then.
+    open_loop_segment pass over the first t_max controls, or None when a
+    step before termination would raise (non-finite or out-of-range
+    control, non-finite state, sequence exhausted); _step_loop then
+    raises it. Rows after the end are never read, so their overflow is
+    ignored.
     """
     x = initial_state(scn)
-    q, d = x.q, x.d
-    pos_parts, back_parts, mask_parts = [q[None]], [d[None]], []
-    start, terminated = 0, None
-    for stop in (min(OPEN_LOOP_SEGMENT, t_max), t_max):
-        seg = open_loop_segment(controls[start:stop], q, d, scn, threshold)
-        if not seg.valid:
-            return None
-        end = int(seg.end)  # steps taken in this segment
-        pos_parts.append(seg.positions[1 : end + 1])
-        back_parts.append(seg.backlogs[1 : end + 1])
-        mask_parts.append((seg.raw[1 : end + 1] > 0.0).astype(np.float64))
-        if seg.ended:
-            terminated = start + end
-            break
-        start += end
-        if start == t_max:
-            break
-        if start < stop:
-            return None  # the sequence ran out before t_max
-        q, d = seg.positions[-1], seg.backlogs[-1]
-
-    steps = start if terminated is None else terminated
+    with np.errstate(over="ignore"):
+        seg = open_loop_segment(controls[:t_max], x.q, x.d, scn, threshold)
+    end = int(seg.end)  # steps taken
+    if not (seg.valid and (seg.ended or end == t_max)):
+        return None
     return (
-        np.concatenate(pos_parts),
-        np.concatenate(back_parts),
-        controls[:steps].copy(),
-        np.concatenate(mask_parts),
-        terminated,
+        seg.positions[: end + 1].copy(),
+        seg.backlogs[: end + 1].copy(),
+        controls[:end].copy(),
+        (seg.raw[1 : end + 1] > 0.0).astype(np.float64),
+        end if seg.ended else None,
     )
 
 

@@ -100,35 +100,10 @@ def unpack(params: PolicyParams) -> list:
 # ---------------------------------------------------------------------------
 
 
-class ObservationBuffer:
-    """Preallocated observations for positions (*batch, 2) and backlogs
-
-    (*batch, K): fill writes them into .out (*batch, 2 + 3K). The layout is
-    the position and the K offsets w_i - q scaled by 2/area_side, then the
-    backlogs over their demands, 0 for a zero demand (out starts at zero
-    and those entries are never written).
-    """
-
-    def __init__(self, scn: Scenario, batch: tuple = ()):
-        k = scn.k
-        self.out = np.zeros((*batch, 2 + 3 * k))
-        self._q, self._frac = self.out[..., :2], self.out[..., 2 + 2 * k :]
-        self._rel = self.out[..., 2 : 2 + 2 * k].reshape(*batch, k, 2)
-        self._s, self._users, self._demands = 2.0 / scn.area_side, scn.user_positions, scn.demands
-        self._has_demand = scn.demands > 0.0
-
-    def fill(self, positions: np.ndarray, backlogs: np.ndarray) -> np.ndarray:
-        np.multiply(positions, self._s, out=self._q)
-        np.subtract(self._users, positions[..., None, :], out=self._rel)
-        self._rel *= self._s
-        np.divide(backlogs, self._demands, out=self._frac, where=self._has_demand)
-        return self.out
-
-
 class FloatObserver:
     """The observation of one state held in Python floats, laid out as
 
-    ObservationBuffer's and rounded alike: float arithmetic is the IEEE
+    observations' and rounded alike: float arithmetic is the IEEE
     arithmetic numpy runs element by element.
     """
 
@@ -155,9 +130,17 @@ class FloatObserver:
 def observations(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
     """Normalized observations at positions (..., 2) and backlogs (..., K), as
 
-    (..., 2 + 3K), laid out as ObservationBuffer describes.
+    (..., 2 + 3K): the position and the K offsets w_i - q scaled by
+    2/area_side, then the backlogs over their demands, 0 for a zero demand.
     """
-    return ObservationBuffer(scn, positions.shape[:-1]).fill(positions, backlogs)
+    k, s, batch = scn.k, 2.0 / scn.area_side, positions.shape[:-1]
+    out = np.zeros((*batch, 2 + 3 * k))
+    np.multiply(positions, s, out=out[..., :2])
+    rel = out[..., 2 : 2 + 2 * k].reshape(*batch, k, 2)
+    np.subtract(scn.user_positions, positions[..., None, :], out=rel)
+    rel *= s
+    np.divide(backlogs, scn.demands, out=out[..., 2 + 2 * k :], where=scn.demands > 0.0)
+    return out
 
 
 def observe(x: State, scn: Scenario) -> np.ndarray:
@@ -291,7 +274,7 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
 class PolicyController:
     """Adapter giving the rollout loop a (t, state) -> Control callable; unpacks
 
-    the layers and allocates the observation buffer once.
+    the layers once.
     """
 
     def __init__(self, params: PolicyParams, scn: Scenario):
@@ -306,11 +289,10 @@ class PolicyController:
         self.params = params
         self.scn = scn
         self.layers = unpack(params)
-        self.observer = ObservationBuffer(scn)
         self.float_observer = FloatObserver(scn)
 
     def __call__(self, t: int, x: State) -> Control:
-        obs = self.observer.fill(x.q, x.d)
+        obs = observations(x.q, x.d, self.scn)
         return _control(activations(self.layers, obs)[-1], self.params.v_max)
 
     def check_scenario(self, scn: Scenario) -> None:
@@ -332,24 +314,28 @@ class PolicyController:
                 )
 
 
-def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional[tuple]:
-    """env._step_loop's result for ctl on its own scenario, computed with the
+def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
+    """env._step_loop's result for ctl on scn, its own scenario or an equal
 
-    state in Python floats, or None when a step before termination would
-    raise (non-finite or out-of-range control, non-finite state) or H^2
-    overflows or underflows the floats; _step_loop then runs the rollout.
+    copy, computed with the state in Python floats, or None when a step
+    before termination would raise (non-finite or out-of-range control,
+    non-finite state) or H^2 overflows or underflows the floats;
+    _step_loop then runs the rollout.
 
     Each step repeats the per-step loop's arithmetic, in its order, one
     float at a time (FloatObserver, env.rate_argument, env.clamp,
-    env.move). What float arithmetic would round differently stays in
-    numpy: each hidden layer is np.dot(w, a, out) plus the bias, which
-    rounds like w @ a + b, then np.tanh; one np.log2 takes the K rate
-    arguments. While one backlog reaches the threshold the backlog sum
-    cannot be below it (a sum of non-negative terms is at least each of
-    them), so np.sum runs only when none does; a NaN fails the >= and
-    falls through to it. The rows become arrays once, at the end.
+    env.move). The controller observes its own scenario's users and
+    demands and the vehicle starts from scn's; the users only enter the
+    rates squared, so an equal copy's zeros of either sign drain alike.
+    What float arithmetic would round differently stays in numpy: each
+    hidden layer is np.dot(w, a, out) plus the bias, which rounds like
+    w @ a + b, then np.tanh; one np.log2 takes the K rate arguments.
+    While one backlog reaches the threshold the backlog sum cannot be
+    below it (a sum of non-negative terms is at least each of them), so
+    np.sum runs only when none does; a NaN fails the >= and falls
+    through to it. The rows become arrays once, at the end.
     """
-    scn, layers = ctl.scn, ctl.layers
+    layers = ctl.layers
     k, n, v_max, tau = scn.k, ctl.params.spec.input_dim, ctl.params.v_max, scn.tau
     eta, sigma2, bk = scn.eta, scn.sigma2, scn.bandwidth / scn.k
     try:
@@ -367,7 +353,7 @@ def policy_tape(ctl: PolicyController, t_max: int, threshold: float) -> Optional
     buf = np.empty(n + k + 2)
     inputs, first, logs, head, tail = buf[: n + k], buf[:n], buf[n : n + k], buf[n + k :], buf[n:]
     q0 = q1 = 0.0
-    d = ctl.float_observer.demands
+    d = scn.demands.tolist()
     positions, backlogs, controls, raws = [q0, q1], list(d), [], []  # raws: drained, before the clamp
     witness = 0  # the index of a backlog >= threshold, when there is one
     terminated = None

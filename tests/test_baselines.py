@@ -25,8 +25,8 @@ from aavtraj import (
     rollout,
 )
 from aavtraj import baselines
-from aavtraj.baselines import ConstantController, SequenceController, greedy_action
-from aavtraj.env import OPEN_LOOP_CHUNK, OPEN_LOOP_SEGMENT, rates
+from aavtraj.baselines import OPEN_LOOP_CHUNK, OPEN_LOOP_SEGMENT, ConstantController, SequenceController, greedy_action
+from aavtraj.env import rates
 from aavtraj.smoothing import smoothness_penalty, wrap_angle
 
 
@@ -286,12 +286,13 @@ def population_cases(draw):
 
 
 class TestPopulationFitness:
-    """ga_optimize scores a population with _population_fitness: one pass over
+    """ga_optimize scores a population with _population_fitness: one pass from
 
-    the members still running. It starts at step 0 when the scenario rules
-    out an end within the first OPEN_LOOP_SEGMENT steps; otherwise each
-    member's first segment is a rollout of its own and the pass takes the
-    rest. One fitness rollout per member is the oracle.
+    step 0 over the members still running. Unless the scenario rules out an
+    end within the first OPEN_LOOP_SEGMENT steps, each member's first
+    segment is first a rollout of its own, and only the members that do
+    not end there join the pass. One fitness rollout per member is the
+    oracle.
     """
 
     @given(case=population_cases())
@@ -384,6 +385,37 @@ class TestPopulationFitness:
         monkeypatch.undo()
         assert got == fitness_outcome(scalar_fitness, pop, scn, cfg)
         assert per_member == ([] if gated else [OPEN_LOOP_SEGMENT] * 12)
+
+
+    def test_members_past_their_first_segment_join_the_pass_at_step_0(self, monkeypatch):
+        # random flights of 60 steps around one user: the hovering members end on row 8,
+        # some others run past their first segment
+        scn, length = hover_scn(7.9), 60
+        cfg = GaConfig(chromosome_length=length)
+        assert not baselines._cannot_end_within(scn, OPEN_LOOP_SEGMENT, cfg.stop_eps * scn.k)
+        pop = random_population(np.random.default_rng(1), scn, 12, length)
+        pop[::3, :, 0] = 0.0
+        ran_on, batches = [], []
+        rollout_of, segment_of = baselines.rollout, baselines.open_loop_segment
+
+        def counting(*args):
+            traj = rollout_of(*args)
+            ran_on.append(traj.terminated_step is None)
+            return traj
+
+        def segments(controls, q, d, *args):
+            batches.append((controls.shape[:2], q.tolist(), d.tolist()))
+            return segment_of(controls, q, d, *args)
+
+        monkeypatch.setattr(baselines, "rollout", counting)
+        monkeypatch.setattr(baselines, "open_loop_segment", segments)
+        got = baselines._population_fitness(pop, scn, cfg)
+        monkeypatch.undo()
+        assert got.tobytes() == scalar_fitness(pop, scn, cfg).tobytes()
+        assert len(ran_on) == 12 and 0 < sum(ran_on) < 12 and not any(ran_on[::3])
+        # the first batch starts every running member from the initial state
+        assert batches[0] == ((sum(ran_on), OPEN_LOOP_SEGMENT), [0.0, 0.0], scn.demands.tolist())
+        assert all(shape[1] == OPEN_LOOP_CHUNK for shape, _, _ in batches[1:-1])
 
 
 def rate_bound_drain(scn):

@@ -1,7 +1,11 @@
-"""The pairs report of tools/bench_pairs.py, on canned run records."""
+"""The pairs report of tools/bench_pairs.py, on canned run records, and its
+
+snapshot of a working tree, on a small git repository.
+"""
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +106,30 @@ def test_previous_change_median_sits_beside_the_parent_median(tmp_path):
     # a case or metric the earlier report lacks gets no entry
     assert "previous" not in summary["train-long:0"]["score"]
     assert "previous" not in summary["train-long:7"]["wall_rel"]
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def test_snapshot_copies_the_working_tree_without_ignored_or_deleted_files(tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "snap"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".gitignore").write_text("out/\n__pycache__/\n")
+    (repo / "src" / "edited.py").write_text("x = 1\n")
+    (repo / "src" / "deleted.py").write_text("y = 2\n")
+    (repo / "kept.txt").write_text("same\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "edited.py").write_text("x = 3\n")
+    (repo / "src" / "new.py").write_text("z = 4\n")
+    (repo / "src" / "deleted.py").unlink()
+    for ignored in ("out/run.json", "src/__pycache__/edited.pyc"):
+        (repo / ignored).parent.mkdir(exist_ok=True)
+        (repo / ignored).write_text("ignored\n")
+    bench_pairs.snapshot(into, repo)
+    files = {p.relative_to(into).as_posix(): p.read_text() for p in into.rglob("*") if p.is_file()}
+    assert files == {".gitignore": "out/\n__pycache__/\n", "kept.txt": "same\n", "src/edited.py": "x = 3\n",
+                     "src/new.py": "z = 4\n"}

@@ -25,8 +25,8 @@ from aavtraj import (
     save_scenario,
 )
 from aavtraj import PolicyController, env, init_params, policy
+from aavtraj.baselines import OPEN_LOOP_SEGMENT
 from aavtraj.env import (
-    OPEN_LOOP_SEGMENT,
     initial_state,
     rate,
     rate_gradients,
@@ -386,9 +386,10 @@ def replay_cases(draw):
 
 
 class TestReplay:
-    """A SequenceController's tape is computed in array segments; the
+    """A SequenceController's tape is computed in one open_loop_segment pass
 
-    step loop, reached through a plain callable, is the oracle.
+    over the horizon; the step loop, reached through a plain callable, is
+    the oracle.
     """
 
     @given(case=replay_cases())
@@ -438,6 +439,35 @@ class TestReplay:
         scn = generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
         traj = rollout(SequenceController(np.full((500, 2), 0.1)), scn, 500, 1e-3)
         assert traj.steps > OPEN_LOOP_SEGMENT
+
+    @pytest.mark.parametrize("long", [False, True])
+    def test_one_segment_call_over_the_horizon(self, monkeypatch, long):
+        calls, segment_of = [], env.open_loop_segment
+
+        def recording(controls, *args):
+            calls.append(controls.shape)
+            return segment_of(controls, *args)
+
+        scn = generate_scenario(0, k=4, demand_lo=20.0 if long else 0.5, demand_hi=40.0 if long else 1.0)
+        controls = np.full((500, 2), 0.1)
+        want = outcome(lambda: rollout(stepped(SequenceController(controls)), scn, 500, 1e-3))
+        monkeypatch.setattr(env, "open_loop_segment", recording)
+        got = outcome(lambda: rollout(SequenceController(controls), scn, 500, 1e-3))
+        assert got == want and calls == [(500, 2)]
+        # the default mission ends inside the GA's first segment; the long one runs to t_max
+        assert got[2] == (None if long else 4)
+
+    @pytest.mark.parametrize("t_max, length", [(40, 40), (40, 500), (500, 500)])
+    def test_huge_speed_after_the_end_is_never_read_and_never_warns(self, t_max, length):
+        # a hover over the one user drains 1.0 per slot and ends at step 12; the speeds
+        # of 1e308 after it would overflow the positions of the rows no step takes
+        scn = unit_scn([[0.0, 0.0]], [12.0])
+        controls = np.zeros((length, 2))
+        controls[14:, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            replayed, stepped_tape = replay_and_loop(controls, scn, t_max)
+        assert replayed == stepped_tape and replayed[2] == 12
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_row_sums_match_one_row_sums(self, k):
@@ -527,7 +557,7 @@ class TestPolicyTape:
         fast, stepped_tape = array_and_loop(ctl, scn, t_max)
         assert fast == stepped_tape
         # the array path itself produced it, not a fallback to the loop
-        assert policy.policy_tape(ctl, t_max, 1e-3 * scn.k) is not None
+        assert policy.policy_tape(ctl, scn, t_max, 1e-3 * scn.k) is not None
 
     def test_does_not_step(self, monkeypatch):
         def no_step(*args):
@@ -552,7 +582,7 @@ class TestPolicyTape:
         ctl = controller(scn, entry=(-2, -math.inf))
         fast, stepped_tape = array_and_loop(ctl, scn, 1500)
         assert fast == stepped_tape and fast[2] is None
-        assert policy.policy_tape(ctl, 1500, 1e-3 * scn.k)[2].shape == (1500, 2)
+        assert policy.policy_tape(ctl, scn, 1500, 1e-3 * scn.k)[2].shape == (1500, 2)
 
     def test_huge_horizon_with_a_short_mission(self):
         scn = generate_scenario(0, k=4)
@@ -615,14 +645,14 @@ class TestPolicyTape:
         ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
         fast, stepped_tape = array_and_loop(ctl, scn, 10, stop_eps)
         assert fast == stepped_tape and fast[2] == terminated
-        assert policy.policy_tape(ctl, 10, stop_eps * scn.k) is not None
+        assert policy.policy_tape(ctl, scn, 10, stop_eps * scn.k) is not None
 
     def test_zero_and_negative_zero_demands(self):
         scn = unit_scn([[1.0, 0.5], [2.0, -1.0], [-3.0, 2.0]], [2.0, 0.0, -0.0])
         ctl = controller(scn, hidden=(8,))
         fast, stepped_tape = array_and_loop(ctl, scn, 40)
         assert fast == stepped_tape
-        assert policy.policy_tape(ctl, 40, 1e-3 * scn.k) is not None
+        assert policy.policy_tape(ctl, scn, 40, 1e-3 * scn.k) is not None
 
     def test_clamp_is_np_maximum(self):
         xs = [-0.0, 0.0, math.nan, -1.0, 2.0]
@@ -635,7 +665,7 @@ class TestPolicyTape:
         ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
         fast, stepped_tape = array_and_loop(ctl, scn, 10)
         assert fast == stepped_tape and fast[2] is None
-        backlogs = policy.policy_tape(ctl, 10, 1e-3 * scn.k)[1]
+        backlogs = policy.policy_tape(ctl, scn, 10, 1e-3 * scn.k)[1]
         assert backlogs[2:, 0].tolist() == [0.0] * 9 and np.all(backlogs[:, 1:] > 20.0)
 
     @pytest.mark.parametrize("altitude, sigma2, demand", [(1e200, 1.0, 0.0), (1e-200, 1e-200, 1.0)])
@@ -644,7 +674,7 @@ class TestPolicyTape:
         # where a float eta / 0.0 raises and the loop's array gives inf: both take the loop
         scn = unit_scn([[0.0, 0.0]], [demand], altitude=altitude, sigma2=sigma2)
         ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
-        assert policy.policy_tape(ctl, 5, 1e-3) is None
+        assert policy.policy_tape(ctl, scn, 5, 1e-3) is None
         with np.errstate(divide="ignore"):
             fast, stepped_tape = array_and_loop(ctl, scn, 5)
         assert fast == stepped_tape and fast[2] == 1 - (demand == 0.0)
@@ -675,9 +705,31 @@ class TestPolicyTape:
         ctl = controller(scn)
         want = outcome(lambda: rollout(ctl, scn, 50, 1e-3))
         monkeypatch.setattr(policy, "policy_tape", no_array_path)
-        # a controller built on an equal copy of the scenario observes that copy
-        for source in (Subclass(ctl.params, scn), stepped(ctl), PolicyController(ctl.params, replace(scn))):
+        for source in (Subclass(ctl.params, scn), stepped(ctl)):
             assert outcome(lambda: rollout(source, scn, 50, 1e-3)) == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_controller_on_an_equal_copy_takes_the_array_path(self, monkeypatch, seed):
+        # the copy's zero coordinates and zero demands have the other sign: the controller
+        # observes its own scenario's, the vehicle starts from and drains the copy's
+        def flipped(a):
+            return np.where(a == 0.0, -a, a)
+
+        rng = np.random.default_rng(seed)
+        users = rng.uniform(-4.0, 4.0, (4, 2))
+        users[rng.random((4, 2)) < 0.4] = rng.choice([0.0, -0.0])
+        demands = np.where(rng.random(4) < 0.4, rng.choice([0.0, -0.0], 4), rng.uniform(0.5, 30.0, 4))
+        demands[0] = 20.0  # a mission to fly
+        own = default_scn(users, demands)
+        copy = replace(own, user_positions=flipped(own.user_positions), demands=flipped(own.demands), seed=None)
+        assert np.signbit(copy.demands).tolist() != np.signbit(own.demands).tolist() or 0.0 not in demands
+        calls, tape_of = [], policy.policy_tape
+        monkeypatch.setattr(policy, "policy_tape", lambda *args: calls.append(args[1]) or tape_of(*args))
+        for ctl, scn in ((controller(own, hidden=(8,), seed=seed), copy),
+                         (controller(copy, hidden=(8,), seed=seed), own)):
+            fast, stepped_tape = array_and_loop(ctl, scn, 60)
+            assert fast == stepped_tape and calls[-1] is scn
+        assert len(calls) == 2
 
 
 class TestScenario:

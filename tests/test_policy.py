@@ -237,8 +237,8 @@ class TestController:
         ref = forward(params, observe(x, scn))
         assert u.v == ref.v and u.theta == ref.theta
 
-    def test_calls_with_one_buffer_match_fresh_observations(self):
-        # the controller refills one observation buffer; a zero-demand user's entry stays 0
+    def test_repeated_calls_match_fresh_observations(self):
+        # one controller called on state after state; a zero-demand user's entry stays 0
         scn = generate_scenario(3, k=4)
         scn = replace(scn, demands=np.where([True, False, True, True], scn.demands, 0.0))
         params = init_params(3, k=4)

@@ -6,8 +6,11 @@ on the working tree, alternately, and summarise the end-to-end metrics.
 
 Each case is WORKLOAD:SEED and runs PAIRS = 10 pairs, every run as long
 as BENCHMARK.json's run_seconds. REV is extracted with `git archive` into
-a temporary directory; the working tree is the checkout this script lives
-in, uncommitted edits included. Pair i runs the parent first when i is
+a temporary directory, and the working tree of the checkout this script
+lives in is copied into another (snapshot): its tracked and untracked
+files as they are on disk, uncommitted edits included, without ignored
+files (such as perfbench/out/ and __pycache__) or deleted ones. So both
+sides run from fresh trees alike. Pair i runs the parent first when i is
 even and the change first when it is odd, so a slow drift of the host
 loads both sides alike. The output holds every run's result line and,
 per case and end-to-end metric (as listed in BENCHMARK.json), each side's
@@ -20,7 +23,9 @@ gate. Standard library only.
 import argparse
 import io
 import json
+import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +61,22 @@ def extract(rev: str, into: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(into, filter="data")
     return sha
+
+
+def snapshot(into: Path, root: Path = ROOT) -> None:
+    """Copy the working tree of the git checkout root under into: every file
+
+    `git ls-files --cached --others --exclude-standard` names that is on
+    disk, with its content there.
+    """
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=root,
+                           check=True, capture_output=True).stdout.split(b"\0")
+    for name in dict.fromkeys(filter(None, names)):  # an unmerged file is listed once per stage
+        src, dst = root / os.fsdecode(name), into / os.fsdecode(name)
+        if not os.path.lexists(src):
+            continue  # deleted in the working tree
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -165,8 +186,9 @@ def main(argv=None) -> int:
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_sha = extract(args.against, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {side: Path(tmp) / side for side in SIDES}
+        parent_sha = extract(args.against, trees["parent"])
+        snapshot(trees["change"])
         for workload, seed in cases:
             for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:

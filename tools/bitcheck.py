@@ -13,12 +13,16 @@ only one side has. It exits 1 if any did, 0 otherwise.
   (closed loop at beta 0 and 1), on TAPES tapes of each preset with K in
   KS and up to 500 steps, a K=20 tape and a tape with a zero-demand user
   of each preset, and a long-preset tape of up to 1500 steps;
+- per preset, replays of a random plan longer than their horizons;
 - a 5-iteration training log on the long preset without its wall-clock
   columns, and the trained parameters;
-- a 3-generation GA log and best plan on each preset, and on GA_LONG's
-  long-preset cases. The long preset's K=3 run and GA_LONG's K=4 and
-  K=10 runs take their first segments in the population pass; the
-  default preset's run and GA_LONG's K=1 run keep them per member;
+- a 3-generation GA log and best plan on each preset, on GA_LONG's
+  long-preset cases and on the mid preset (demands 4-8). Every member
+  whose mission is not over after its first segment runs in the
+  population pass from step 0. The long preset's K=3 run and GA_LONG's
+  K=4 and K=10 runs take no per-member first segment; the default
+  preset's run, GA_LONG's K=1 run and the mid preset's run make one per
+  member first, and on the mid preset many members run past it;
 - a K=2 sweep's detail.csv without sweep.TIMING_COLUMNS.
 
 `--digests` prints the digests of the aavtraj on the import path as JSON
@@ -106,6 +110,21 @@ def sweep_outputs(tapes: int = TAPES) -> dict:
     return out
 
 
+def long_plan_outputs() -> dict:
+    """Per preset, the tapes of a random 700-step plan replayed over 40 and 300 steps."""
+    from aavtraj import SequenceController, generate_scenario, rollout
+
+    out = {}
+    for preset, (lo, hi) in PRESETS.items():
+        scn = generate_scenario(2, k=4, demand_lo=lo, demand_hi=hi)
+        rng = np.random.default_rng(2)
+        controls = np.column_stack([rng.uniform(0.0, scn.v_max, 700), rng.uniform(-np.pi, np.pi, 700)])
+        for t_max in (40, 300):
+            replay = rollout(SequenceController(controls), scn, t_max, 1e-3)
+            out.update(tape_outputs(f"{preset}.plan700.t{t_max}", replay))
+    return out
+
+
 def training_outputs() -> dict:
     from aavtraj import TrainConfig, generate_scenario, train
 
@@ -140,6 +159,8 @@ def ga_outputs() -> dict:
         best, log = ga_optimize(generate_scenario(0, k=k, demand_lo=lo, demand_hi=hi),
                                 GaConfig(generations=3, chromosome_length=length, seed=0))
         out[f"ga.long.{tag}.log"], out[f"ga.long.{tag}.best"] = log, best
+    best, log = ga_optimize(generate_scenario(0, k=4, demand_lo=4.0, demand_hi=8.0), GaConfig(generations=3, seed=0))
+    out["ga.mid.k4.log"], out["ga.mid.k4.best"] = log, best
     return out
 
 
@@ -157,7 +178,8 @@ def sweep_csv_outputs() -> dict:
 
 
 def digests() -> dict:
-    outputs = {**sweep_outputs(), **training_outputs(), **ga_outputs(), **sweep_csv_outputs()}
+    outputs = {**sweep_outputs(), **long_plan_outputs(), **training_outputs(), **ga_outputs(),
+               **sweep_csv_outputs()}
     return {name: digest(value) for name, value in outputs.items()}
 
 
