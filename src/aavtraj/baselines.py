@@ -31,7 +31,6 @@ from .env import (  # SequenceController stays importable from here
     open_loop_segment,
     rates,
     rollout,
-    stage_costs,
 )
 from .smoothing import smoothness_penalty
 
@@ -205,9 +204,11 @@ def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.nda
     The members run together in one pass from step 0: an open_loop_segment
     call over the first OPEN_LOOP_SEGMENT steps of all of them, then one
     per OPEN_LOOP_CHUNK steps from the rows each reached, dropping members
-    as their missions end. Each is then scored on its own rows. A member
-    whose steps would raise takes _fitness, in population order, so the
-    exception raised is the scalar loop's.
+    as their missions end. Each is then scored on its own rows, with the
+    stage costs each segment computed (Segment.costs, as a replay's tape
+    takes them). A member whose steps would raise takes _fitness, in
+    population order, so the exception raised is the scalar loop's, and
+    so are its warnings.
 
     Unless _cannot_end_within rules out an end within the first segment
     (long missions), each member's first segment is first a rollout of its
@@ -244,11 +245,10 @@ def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.nda
     start = 0
     while start < t_len:
         stop = min(start + OPEN_LOOP_CHUNK, t_len) if start else head
-        seg = open_loop_segment(pop[live, start:stop], q, d, scn, threshold)
-        # rows after a member's end are never read, and may overflow
-        with np.errstate(all="ignore"):
-            chunk = stage_costs(seg.positions[:, 1:].reshape(-1, 2), seg.backlogs[:, 1:].reshape(-1, scn.k), scn)
-        costs[live, start:stop] = chunk.reshape(live.size, stop - start)
+        # rows after a member's end are never read, so their overflow is ignored, as in a replay
+        with np.errstate(over="ignore"):
+            seg = open_loop_segment(pop[live, start:stop], q, d, scn, threshold)
+        costs[live, start:stop] = seg.costs
         steps[live[seg.ended]] = start + seg.end[seg.ended]
         failed[live[~seg.valid]] = True
         keep = ~seg.ended & seg.valid

@@ -166,10 +166,28 @@ def rates(q: np.ndarray, scn: Scenario) -> np.ndarray:
     q may be a single position (2,) or a batch (..., 2); the result has
     shape (..., K). Rate model: (B/K) * log2(1 + eta / ((r^2 + H^2) * sigma2)).
     """
+    return rates_at(squared_distances(q, scn), scn)
+
+
+def squared_distances(q: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Squared horizontal distances r^2 from vehicle position(s) q (..., 2)
+
+    to the K users, as (..., K): dx * dx + dy * dy of the offsets q - w_i,
+    each coordinate in an array of its own.
+    """
     q = np.asarray(q, dtype=np.float64)
-    diff = q[..., None, :] - scn.user_positions
-    diff *= diff
-    arg = rate_argument(diff[..., 0] + diff[..., 1], scn.eta, scn.altitude**2, scn.sigma2)
+    users = scn.user_positions
+    dx = q[..., 0, None] - users[:, 0]
+    dy = q[..., 1, None] - users[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def rates_at(d2: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Per-user uplink rates at squared horizontal distances d2 (..., K)."""
+    arg = rate_argument(d2, scn.eta, scn.altitude**2, scn.sigma2)
     return np.log2(arg, out=arg) * (scn.bandwidth / scn.k)
 
 
@@ -264,12 +282,24 @@ def step(x: State, u: Control, scn: Scenario) -> tuple[State, np.ndarray]:
 
 
 def stage_costs(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
-    """stage_cost of every row of positions (N, 2) and backlogs (N, K), as (N,)."""
-    costs = np.sum(backlogs, axis=1)
+    """stage_cost of every row of positions (N, 2) and backlogs (N, K), as (N,).
+
+    The closed-loop tapes are scored here; a replayed or GA tape takes the
+    same costs_at of the rows open_loop_segment already summed and measured.
+    """
+    d2 = squared_distances(positions, scn) if scn.dist_weight > 0.0 else None
+    return costs_at(np.sum(backlogs, axis=-1), d2, scn)
+
+
+def costs_at(sums: np.ndarray, d2: Optional[np.ndarray], scn: Scenario) -> np.ndarray:
+    """Stage costs of rows whose backlogs sum to sums (...) and whose squared
+
+    user distances are d2 (..., K): sums + w * sum_i sqrt(d2_i), the
+    distances added along each row; sums itself when w = 0, d2 unread.
+    """
     if scn.dist_weight > 0.0:
-        dists = np.sqrt(np.sum((positions[:, None, :] - scn.user_positions) ** 2, axis=2))
-        costs = costs + scn.dist_weight * np.sum(dists, axis=1)
-    return costs
+        return sums + scn.dist_weight * np.sum(np.sqrt(d2), axis=-1)
+    return sums
 
 
 def stage_cost(x: State, scn: Scenario) -> float:
@@ -341,7 +371,8 @@ def rollout(
                 tape = policy_tape(policy, scn, t_max, threshold)
     if tape is None:
         tape = _step_loop(policy, scn, t_max, threshold)
-    positions, backlogs, controls, active_masks, terminated = tape
+    # a replayed tape brings its stage costs; the others are scored here
+    positions, backlogs, controls, active_masks, terminated, *costs = tape
 
     # a drained backlog stays at zero, so a user completes at its first zero row
     drained = backlogs == 0.0
@@ -351,7 +382,7 @@ def rollout(
         backlogs=backlogs,
         controls=controls,
         active_masks=active_masks,
-        stage_costs=stage_costs(positions[1:], backlogs[1:], scn),
+        stage_costs=costs[0] if costs else stage_costs(positions[1:], backlogs[1:], scn),
         completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
         terminated_step=terminated,
     )
@@ -402,6 +433,7 @@ class Segment(NamedTuple):
     positions: np.ndarray  # (..., m+1, 2): the start, then the position after each step
     raw: np.ndarray  # (..., m+1, K): running backlogs before the clamp
     backlogs: np.ndarray  # (..., m+1, K): clamped at zero
+    costs: np.ndarray  # (..., m): stage_costs of rows 1..m, the state after each step
     end: np.ndarray  # (...): steps taken, the first row below the threshold or m
     ended: np.ndarray  # (...): whether some row is below the threshold
     valid: np.ndarray  # (...): whether the step loop would take those steps without raising
@@ -426,6 +458,11 @@ def open_loop_segment(
     finite headings and finite states (the start row is finite: it is the
     initial state or a row already checked); rows after its end are never
     read.
+
+    The stage costs come from work the steps already do: the squared user
+    distances of rows 0..m are taken once, rows 0..m-1 feeding the drains
+    and rows 1..m the distance term, and the backlog row sums once, feeding
+    both the termination test and the costs (costs_at, as stage_costs).
     """
     m = controls.shape[-2]
     v, theta = controls[..., 0], controls[..., 1]
@@ -438,32 +475,37 @@ def open_loop_segment(
         np.multiply(step, np.cos(theta), out=pos[..., 1:, 0])
         np.multiply(step, np.sin(theta), out=pos[..., 1:, 1])
         pos = np.add.accumulate(pos, axis=-2)
+        d2 = squared_distances(pos, scn)
         raw = np.empty((*batch, m + 1, scn.k))
         raw[..., 0, :] = d
-        np.multiply(rates(pos[..., :-1, :], scn), -scn.tau, out=raw[..., 1:, :])  # minus the drains
+        np.multiply(rates_at(d2[..., :-1, :], scn), -scn.tau, out=raw[..., 1:, :])  # minus the drains
         raw = np.add.accumulate(raw, axis=-2)
         back = np.maximum(0.0, raw)
-    below = back.sum(axis=-1) < threshold
+    sums = back.sum(axis=-1)
+    costs = costs_at(sums[..., 1:], d2[..., 1:, :], scn)
+    below = sums < threshold
     ended = below.any(axis=-1)
     end = np.where(ended, below.argmax(axis=-1), m)
     # step t is good when its control is and the row it makes is finite;
-    # only the first n steps are taken by any member
+    # only the first n steps are taken by any member. From a finite start
+    # the drains (>= 0, inf or NaN) only lower a backlog and the clamp keeps
+    # it >= 0, so each is in [0, d] or NaN: a row is finite unless its sum is NaN.
     n = int(end.max())
     v, theta = v[..., :n], theta[..., :n]
-    good = (0.0 <= v) & (v <= scn.v_max) & np.isfinite(theta)
-    good &= np.isfinite(pos[..., 1 : n + 1, :]).all(axis=-1) & np.isfinite(back[..., 1 : n + 1, :]).all(axis=-1)
+    good = (0.0 <= v) & (v <= scn.v_max) & np.isfinite(theta) & ~np.isnan(sums[..., 1 : n + 1])
+    good &= np.isfinite(pos[..., 1 : n + 1, 0]) & np.isfinite(pos[..., 1 : n + 1, 1])
     valid = (good | (np.arange(n) >= end[..., None])).all(axis=-1)
-    return Segment(pos, raw, back, end, ended, valid)
+    return Segment(pos, raw, back, costs, end, ended, valid)
 
 
 def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
-    """_step_loop's result for a fixed (n, 2) control array, computed in one
+    """_step_loop's result for a fixed (n, 2) control array, and the stage
 
-    open_loop_segment pass over the first t_max controls, or None when a
-    step before termination would raise (non-finite or out-of-range
-    control, non-finite state, sequence exhausted); _step_loop then
-    raises it. Rows after the end are never read, so their overflow is
-    ignored.
+    costs of rows 1..end, computed in one open_loop_segment pass over the
+    first t_max controls, or None when a step before termination would
+    raise (non-finite or out-of-range control, non-finite state, sequence
+    exhausted); _step_loop then raises it. Rows after the end are never
+    read, so their overflow is ignored.
     """
     x = initial_state(scn)
     with np.errstate(over="ignore"):
@@ -477,6 +519,7 @@ def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -
         controls[:end].copy(),
         (seg.raw[1 : end + 1] > 0.0).astype(np.float64),
         end if seg.ended else None,
+        seg.costs[:end].copy(),
     )
 
 

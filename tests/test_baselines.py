@@ -1,6 +1,7 @@
 """Greedy rule, genetic search, and the shared mission evaluator."""
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from aavtraj import (
 )
 from aavtraj import baselines
 from aavtraj.baselines import OPEN_LOOP_CHUNK, OPEN_LOOP_SEGMENT, ConstantController, SequenceController, greedy_action
-from aavtraj.env import rates
+from aavtraj.env import rates, stage_costs
 from aavtraj.smoothing import smoothness_penalty, wrap_angle
 
 
@@ -217,9 +218,13 @@ class TestGa:
 
 
 def reference_fitness(chrom, scn, cfg):
-    """One member's fitness as ga_optimize scored it before the population pass."""
+    """One member's fitness as ga_optimize scored it before the population pass.
+
+    A replay's tape takes its stage costs from open_loop_segment, as the pass
+    does, so the oracle scores the tape's rows with stage_costs itself."""
     traj = rollout(SequenceController(chrom), scn, cfg.chromosome_length, cfg.stop_eps)
-    return -(traj.task_cost() + cfg.beta * smoothness_penalty(traj.controls, cfg.alpha))
+    task_cost = float(sum(stage_costs(traj.positions[1:], traj.backlogs[1:], scn).tolist()))
+    return -(task_cost + cfg.beta * smoothness_penalty(traj.controls, cfg.alpha))
 
 
 def scalar_fitness(pop, scn, cfg):
@@ -271,6 +276,8 @@ def population_cases(draw):
     if draw(st.booleans()):
         zero = draw(st.integers(0, k - 1))
         scn = replace(scn, demands=np.where(np.arange(k) == zero, 0.0, scn.demands))
+    # generate_scenario's distance weight, none (stage_costs skips the distances) and a large one
+    scn = replace(scn, dist_weight=draw(st.sampled_from([0.01, 0.0, 50.0])))
     length = draw(st.one_of(st.integers(1, OPEN_LOOP_SEGMENT - 1), st.integers(OPEN_LOOP_SEGMENT, 3 * CHUNK_END),
                             st.just(500)))
     size = draw(st.integers(1, 12))
@@ -339,6 +346,33 @@ class TestPopulationFitness:
         pop[:, CHUNK_END + 5 :] = math.nan
         got = baselines._population_fitness(pop, scn, GaConfig(chromosome_length=120))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("demand", [OPEN_LOOP_SEGMENT + 4.0, CHUNK_END + 4.0])
+    def test_huge_speed_after_the_end_is_never_read_and_never_warns(self, demand):
+        # the hovering members end at step demand, in the pass; speeds of 1e308 two
+        # steps later would overflow the positions of rows no step takes
+        scn, length = hover_scn(demand), 120
+        cfg = GaConfig(chromosome_length=length)
+        assert baselines._cannot_end_within(scn, OPEN_LOOP_SEGMENT, cfg.stop_eps * scn.k)
+        pop = random_population(np.random.default_rng(2), scn, 12, length)
+        pop[::2, :, 0] = 0.0
+        pop[::2, int(demand) + 2 :, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched, scalar = batch_and_scalar(pop, scn, cfg)
+        assert batched == scalar and scalar[0] == np.float64
+
+    def test_a_failing_member_warns_as_its_rollout_does(self):
+        # member 3 overflows its position on a row it takes: it falls back to its own rollout
+        scn, length = replace(hover_scn(CHUNK_END + 4.0), v_max=1e308), 60
+        cfg = GaConfig(chromosome_length=length)
+        pop = np.zeros((6, length, 2))
+        pop[3, OPEN_LOOP_SEGMENT + 2 :, 0] = 1e308
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            want = fitness_outcome(scalar_fitness, pop, scn, cfg)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = fitness_outcome(baselines._population_fitness, pop, scn, cfg)
+        assert got == want and want[:2] == (NumericFailure, f"non-finite value at step {OPEN_LOOP_SEGMENT + 3} (state)")
 
     def test_the_pass_drops_members_as_they_end(self, monkeypatch):
         batches = []

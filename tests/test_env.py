@@ -236,6 +236,81 @@ class TestStageCost:
         assert stage_cost(x, scn) == pytest.approx(0.52, abs=1e-15)
 
 
+# generate_scenario's distance weight, none (stage_costs skips the distances) and a large one
+DIST_WEIGHTS = (0.01, 0.0, 50.0)
+
+
+class TestCostArithmetic:
+    """open_loop_segment scores its rows from the squared distances its drains
+
+    use and the backlog sums its termination test takes; stage_costs takes
+    them from a tape's rows. These pin the bits the two share.
+    """
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_squared_distances_equal_the_summed_squares_whichever_sign(self, k):
+        rng = np.random.default_rng(k)
+        users = rng.uniform(-5.0, 5.0, (k, 2)) * 10.0 ** rng.integers(-3, 3, (k, 2))
+        users[0] = [0.0, -0.0]
+        scn = default_scn(users, np.ones(k))
+        q = rng.uniform(-5.0, 5.0, (6, 9, 2)) * 10.0 ** rng.integers(-3, 3, (6, 9, 2))
+        q[0, 0] = [-0.0, 0.0]
+        q[0, 1] = users[-1]  # on a user
+        got = env.squared_distances(q, scn)
+        assert got.shape == (6, 9, k)
+        flat = q.reshape(-1, 2)
+        for offsets in (flat[:, None, :] - users, users - flat[:, None, :]):
+            assert np.sum(offsets**2, axis=2).reshape(got.shape).tobytes() == got.tobytes()
+        assert env.squared_distances(q[2, 3], scn).tobytes() == got[2, 3].tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_batched_row_sums_equal_the_rows_of_a_reshaped_copy(self, k):
+        rng = np.random.default_rng(k)
+        back = rng.uniform(0.0, 1.0, (5, 21, k)) * 10.0 ** rng.integers(-3, 4, (5, 21, k))
+        back[:, ::4, 0] = 0.0
+        rows = back.reshape(-1, k).copy()
+        assert back.sum(axis=-1).reshape(-1).tobytes() == np.sum(rows, axis=1).tobytes()
+        # the distance term: rows 1..m of each member, against a reshaped copy of them
+        got = np.sum(np.sqrt(back[:, 1:]), axis=-1)
+        assert got.reshape(-1).tobytes() == np.sum(np.sqrt(back[:, 1:].reshape(-1, k)), axis=1).tobytes()
+        if k >= 8:
+            # numpy's pairwise summation unrolls here: a left-to-right sum differs on some row
+            assert any(sum(row.tolist()) != total for row, total in zip(rows, back.sum(axis=-1).reshape(-1)))
+
+
+class TestSegmentCosts:
+    """Segment.costs are stage_costs of each member's rows 1..m, byte for byte,
+
+    and each member's are those of a batch of that member alone.
+    """
+
+    @pytest.mark.parametrize("dist_weight", DIST_WEIGHTS)
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_costs_equal_stage_costs_of_each_members_rows(self, k, dist_weight):
+        rng = np.random.default_rng(k)
+        scn = replace(generate_scenario(k, k=k), dist_weight=dist_weight)
+        if k > 1:
+            scn = replace(scn, demands=np.where(np.arange(k) == k // 2, 0.0, scn.demands))  # a zero-demand user
+        size, m, threshold = 9, 20, 1e-3 * k
+        controls = np.stack([rng.uniform(0.0, scn.v_max, (size, m)), rng.uniform(-math.pi, math.pi, (size, m))],
+                            axis=-1)
+        controls[::3, :, 0] = 0.0
+        q = rng.uniform(-scn.area_side / 2, scn.area_side / 2, (size, 2))
+        q[0] = scn.user_positions[0]  # on a user
+        # from none to a hundredfold of the backlog left: members end on row 0, mid-chunk or not at all
+        d = scn.demands * np.array([0.0, 0.01, 0.3, 0.6, 1.0, 2.0, 5.0, 30.0, 100.0])[:, None]
+        seg = env.open_loop_segment(controls, q, d, scn, threshold)
+        assert seg.costs.shape == (size, m)
+        assert seg.ended.any() and not seg.ended.all() and ((0 < seg.end) & (seg.end < m)).any()
+        for i in range(size):
+            want = env.stage_costs(seg.positions[i, 1:], seg.backlogs[i, 1:], scn)
+            assert seg.costs[i].tobytes() == want.tobytes()
+            for alone in (env.open_loop_segment(controls[i], q[i], d[i], scn, threshold),
+                          env.open_loop_segment(controls[i : i + 1], q[i], d[i], scn, threshold)):
+                assert alone.costs.reshape(m).tobytes() == seg.costs[i].tobytes()
+                assert alone.end.item() == seg.end[i]
+
+
 class TestRollout:
     def hover(self):
         return lambda t, x: Control(0.0, 0.0)
@@ -374,6 +449,7 @@ def replay_cases(draw):
     zero = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     if zero.any():
         scn = replace(scn, demands=np.where(zero, 0.0, scn.demands))
+    scn = replace(scn, dist_weight=draw(st.sampled_from(DIST_WEIGHTS)))
     t_max = draw(st.sampled_from([1, 2, 7, 8, 9, 40, 200]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = draw(st.sampled_from([math.pi, 50.0, 1e4]))

@@ -13,7 +13,9 @@ only one side has. It exits 1 if any did, 0 otherwise.
   (closed loop at beta 0 and 1), on TAPES tapes of each preset with K in
   KS and up to 500 steps, a K=20 tape and a tape with a zero-demand user
   of each preset, and a long-preset tape of up to 1500 steps;
-- per preset, replays of a random plan longer than their horizons;
+- per preset, replays of a random plan longer than their horizons, and
+  one on the same scenario without the distance term (dist_weight 0,
+  where stage costs are the backlog sums alone);
 - a 5-iteration training log on the long preset without its wall-clock
   columns, and the trained parameters;
 - a 3-generation GA log and best plan on each preset, on GA_LONG's
@@ -22,7 +24,8 @@ only one side has. It exits 1 if any did, 0 otherwise.
   population pass from step 0. The long preset's K=3 run and GA_LONG's
   K=4 and K=10 runs take no per-member first segment; the default
   preset's run, GA_LONG's K=1 run and the mid preset's run make one per
-  member first, and on the mid preset many members run past it;
+  member first, and on the mid preset many members run past it. Each
+  preset's run is repeated without the distance term;
 - a K=2 sweep's detail.csv without sweep.TIMING_COLUMNS.
 
 `--digests` prints the digests of the aavtraj on the import path as JSON
@@ -111,7 +114,11 @@ def sweep_outputs(tapes: int = TAPES) -> dict:
 
 
 def long_plan_outputs() -> dict:
-    """Per preset, the tapes of a random 700-step plan replayed over 40 and 300 steps."""
+    """Per preset, the tapes of a random 700-step plan replayed over 40 and 300 steps,
+
+    and over 300 steps without the distance term."""
+    from dataclasses import replace
+
     from aavtraj import SequenceController, generate_scenario, rollout
 
     out = {}
@@ -122,6 +129,8 @@ def long_plan_outputs() -> dict:
         for t_max in (40, 300):
             replay = rollout(SequenceController(controls), scn, t_max, 1e-3)
             out.update(tape_outputs(f"{preset}.plan700.t{t_max}", replay))
+        replay = rollout(SequenceController(controls), replace(scn, dist_weight=0.0), 300, 1e-3)
+        out.update(tape_outputs(f"{preset}.plan700.t300.dist0", replay))
     return out
 
 
@@ -147,13 +156,16 @@ GA_LONG = (("t60.k4", 4, 60), ("t137.k4", 4, 137), ("k1", 1, 500), ("k10", 10, 5
 
 
 def ga_outputs() -> dict:
+    from dataclasses import replace
+
     from aavtraj import GaConfig, ga_optimize, generate_scenario
 
     out = {}
     for preset, (lo, hi) in PRESETS.items():
-        best, log = ga_optimize(generate_scenario(1, k=3, demand_lo=lo, demand_hi=hi),
-                                GaConfig(generations=3, seed=0))
-        out[f"ga.{preset}.log"], out[f"ga.{preset}.best"] = log, best
+        scn = generate_scenario(1, k=3, demand_lo=lo, demand_hi=hi)
+        for tag, run_scn in ((preset, scn), (f"{preset}.dist0", replace(scn, dist_weight=0.0))):
+            best, log = ga_optimize(run_scn, GaConfig(generations=3, seed=0))
+            out[f"ga.{tag}.log"], out[f"ga.{tag}.best"] = log, best
     lo, hi = PRESETS["long"]
     for tag, k, length in GA_LONG:
         best, log = ga_optimize(generate_scenario(0, k=k, demand_lo=lo, demand_hi=hi),
