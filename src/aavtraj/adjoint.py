@@ -21,10 +21,7 @@ from .env import (
     ScenarioError,
     State,
     TrajectoryRecord,
-    rate_gradients,
     rate_gradients_of_offsets,
-    stage_cost,
-    step,
 )
 from .policy import (
     PolicyParams,
@@ -106,7 +103,8 @@ def cost_gradients(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarra
 def jacobian_state(x: State, u: Control, mask: np.ndarray, scn: Scenario) -> np.ndarray:
     """state_jacobians of the single step (x, u) with clamp mask."""
     mask = np.asarray(mask, dtype=np.float64).reshape(1, scn.k)
-    return state_jacobians(mask, rate_gradients(x.q[None], scn), scn)[0]
+    diff = x.q[None, None, :] - scn.user_positions
+    return state_jacobians(mask, rate_gradients_of_offsets(diff, np.sum(diff * diff, axis=2), scn), scn)[0]
 
 
 def jacobian_control(x: State, u: Control, scn: Scenario) -> np.ndarray:
@@ -172,16 +170,6 @@ def backward_openloop(traj: TrajectoryRecord, scn: Scenario) -> tuple[np.ndarray
     _check_record(traj, scn)
     lam, b_mats = _costates(traj, scn, None, None)
     return lam, np.matmul(lam[1:, None, :], b_mats)[:, 0]
-
-
-def hamiltonian(x: State, u: Control, lam_next: np.ndarray, scn: Scenario) -> float:
-    """Stage cost plus the costate-weighted transition, the scalar whose
-
-    control derivative the action gradients realize.
-    """
-    lam_next = np.asarray(lam_next, dtype=np.float64).reshape(2 + scn.k)
-    x_next, _ = step(x, u, scn)
-    return stage_cost(x, scn) + float(lam_next @ x_next.as_vector())
 
 
 @dataclass

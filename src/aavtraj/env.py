@@ -86,11 +86,15 @@ class Scenario:
             raise ScenarioError("demands must be finite and >= 0")
         if not np.all(np.isfinite(users)):
             raise ScenarioError("user positions must be finite")
+        # Python floats: a numpy scalar would carry its own precision into the arithmetic
         for name in ("area_side", "eta", "sigma2", "altitude", "bandwidth", "tau", "v_max"):
-            val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
-                raise ScenarioError(f"{name} must be a positive finite number")
+            check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         check_nonnegative("dist_weight", self.dist_weight)
+        try:
+            self.altitude**2  # as the rates take it
+        except OverflowError:
+            raise ScenarioError(f"altitude {self.altitude!r} is too large: its square overflows") from None
 
     @property
     def k(self) -> int:
@@ -108,9 +112,6 @@ class State:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64).reshape(2))
         object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64).reshape(-1))
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, self.d])
-
 
 @dataclass(frozen=True)
 class Control:
@@ -127,7 +128,8 @@ class TrajectoryRecord:
     positions (T+1, 2) and backlogs (T+1, K) are the visited states,
     controls (T, 2) the (v, theta) rows, active_masks (T, K) records
     which backlogs were still draining (clamp not hit) on step t, and
-    stage_costs (T,) holds the cost of state t+1.
+    stage_costs (T,) holds the cost of state t+1. rollout reads the masks
+    off the backlogs: active_masks[t] is backlogs[t+1] > 0.
     """
 
     positions: np.ndarray
@@ -206,23 +208,6 @@ def clamp(x: float) -> float:
     return 0.0 if x < 0.0 else x
 
 
-def rate(q: np.ndarray, i: int, scn: Scenario) -> float:
-    """Uplink rate of user i at vehicle position q."""
-    if not 0 <= i < scn.k:
-        raise ScenarioError(f"user index {i} out of range for K={scn.k}")
-    return float(rates(q, scn)[..., i])
-
-
-def rate_gradients(q: np.ndarray, scn: Scenario) -> np.ndarray:
-    """d rate_i / d q at vehicle position(s) q: (K, 2) for a single
-
-    position (2,), (..., K, 2) for a batch (..., 2).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    diff = q[..., None, :] - scn.user_positions
-    return rate_gradients_of_offsets(diff, (diff * diff).sum(axis=-1), scn)
-
-
 def rate_gradients_of_offsets(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarray:
     """rate_gradients at the offsets diff = q - w_i (..., K, 2), given their
 
@@ -248,37 +233,23 @@ def rate_gradients_of_offsets(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -
 # ---------------------------------------------------------------------------
 
 
-def step_kinematics(q: np.ndarray, u: Control, scn: Scenario) -> np.ndarray:
-    """Next position under constant speed/heading for one slot."""
-    if not 0.0 <= u.v <= scn.v_max:
-        raise ScenarioError(f"speed {u.v} outside [0, {scn.v_max}]")
-    q = np.asarray(q, dtype=np.float64).reshape(2)
-    return q + np.array(move(u.v, u.theta, scn.tau))
-
-
 def move(v: float, theta: float, tau: float) -> tuple[float, float]:
     """The displacement of one slot at speed v and heading theta, in Python floats."""
     step = v * tau
     return step * math.cos(theta), step * math.sin(theta)
 
 
-def step_tasks(d: np.ndarray, q: np.ndarray, scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Drain backlogs for one slot at the pre-step position q.
+def step(x: State, u: Control, scn: Scenario) -> State:
+    """The state after one slot of control u from x: the backlogs drain at
 
-    Returns the clamped next backlogs and the {0,1} active mask. A user
-    whose backlog lands exactly on zero counts as clamped (mask 0).
+    the pre-step position's rates and are clamped, np.maximum(0.0, raw),
+    then the vehicle moves at constant speed and heading. A speed outside
+    [0, v_max] raises ScenarioError.
     """
-    r = rates(q, scn)
-    raw = d - r * scn.tau
-    mask = (raw > 0.0).astype(np.float64)
-    return np.maximum(0.0, raw), mask
-
-
-def step(x: State, u: Control, scn: Scenario) -> tuple[State, np.ndarray]:
-    """One transition of the full state; rates use the pre-step position."""
-    d_next, mask = step_tasks(x.d, x.q, scn)
-    q_next = step_kinematics(x.q, u, scn)
-    return State(q_next, d_next), mask
+    d_next = np.maximum(0.0, x.d - rates(x.q, scn) * scn.tau)
+    if not 0.0 <= u.v <= scn.v_max:
+        raise ScenarioError(f"speed {u.v} outside [0, {scn.v_max}]")
+    return State(x.q + np.array(move(u.v, u.theta, scn.tau)), d_next)
 
 
 def stage_costs(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
@@ -351,9 +322,11 @@ def rollout(
     and the rates' log2 in numpy (policy.policy_tape). Both give the step
     loop's bits and exceptions. A PolicyController (or subclass) run on a
     scenario other than its own or an equal copy raises ScenarioError.
+    Every path's tape is (positions, backlogs, controls, terminated[, costs]);
+    the clamp masks are the backlogs after each step > 0, as max(0, raw) > 0
+    exactly when raw > 0 (a raw 0.0, -0.0 or NaN clamps to one that is not).
     """
-    if t_max < 1:
-        raise ScenarioError("t_max must be >= 1")
+    check_int("t_max", t_max, 1)
     if not 0.0 < stop_eps < math.inf:
         raise ScenarioError(f"stop_eps must be a positive finite number, got {stop_eps!r}")
     threshold = stop_eps * scn.k
@@ -372,7 +345,7 @@ def rollout(
     if tape is None:
         tape = _step_loop(policy, scn, t_max, threshold)
     # a replayed tape brings its stage costs; the others are scored here
-    positions, backlogs, controls, active_masks, terminated, *costs = tape
+    positions, backlogs, controls, terminated, *costs = tape
 
     # a drained backlog stays at zero, so a user completes at its first zero row
     drained = backlogs == 0.0
@@ -381,7 +354,7 @@ def rollout(
         positions=positions,
         backlogs=backlogs,
         controls=controls,
-        active_masks=active_masks,
+        active_masks=(backlogs[1:] > 0.0).astype(np.float64),
         stage_costs=costs[0] if costs else stage_costs(positions[1:], backlogs[1:], scn),
         completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
         terminated_step=terminated,
@@ -389,15 +362,14 @@ def rollout(
 
 
 def _step_loop(policy, scn: Scenario, t_max: int, threshold: float) -> tuple:
-    """The reference rollout: positions, backlogs, controls, masks and
+    """The reference rollout: positions, backlogs, controls and the
 
-    the termination step, one policy call and one step() per slot.
+    termination step, one policy call and one step() per slot.
     """
     x = initial_state(scn)
     positions = [x.q]
     backlogs = [x.d]
     controls: list = []
-    active_masks: list = []
     terminated: Optional[int] = None
 
     for t in range(t_max):
@@ -407,13 +379,12 @@ def _step_loop(policy, scn: Scenario, t_max: int, threshold: float) -> tuple:
         u = policy(t, x)
         if not (math.isfinite(u.v) and math.isfinite(u.theta)):
             raise NumericFailure(t, "control")
-        x, mask = step(x, u, scn)
+        x = step(x, u, scn)
         if not (np.isfinite(x.q).all() and np.isfinite(x.d).all()):
             raise NumericFailure(t, "state")
         positions.append(x.q)
         backlogs.append(x.d)
         controls.append((u.v, u.theta))
-        active_masks.append(mask)
     else:
         if float(x.d.sum()) < threshold:
             terminated = t_max
@@ -422,7 +393,6 @@ def _step_loop(policy, scn: Scenario, t_max: int, threshold: float) -> tuple:
         np.array(positions),
         np.array(backlogs),
         np.array(controls, dtype=np.float64).reshape(-1, 2),
-        np.array(active_masks, dtype=np.float64).reshape(-1, scn.k),
         terminated,
     )
 
@@ -431,8 +401,7 @@ class Segment(NamedTuple):
     """open_loop_segment's result for a batch (...) of m-row control arrays."""
 
     positions: np.ndarray  # (..., m+1, 2): the start, then the position after each step
-    raw: np.ndarray  # (..., m+1, K): running backlogs before the clamp
-    backlogs: np.ndarray  # (..., m+1, K): clamped at zero
+    backlogs: np.ndarray  # (..., m+1, K): the start, then the clamped backlogs after each step
     costs: np.ndarray  # (..., m): stage_costs of rows 1..m, the state after each step
     end: np.ndarray  # (...): steps taken, the first row below the threshold or m
     ended: np.ndarray  # (...): whether some row is below the threshold
@@ -479,8 +448,8 @@ def open_loop_segment(
         raw = np.empty((*batch, m + 1, scn.k))
         raw[..., 0, :] = d
         np.multiply(rates_at(d2[..., :-1, :], scn), -scn.tau, out=raw[..., 1:, :])  # minus the drains
-        raw = np.add.accumulate(raw, axis=-2)
-        back = np.maximum(0.0, raw)
+        back = np.add.accumulate(raw, axis=-2)
+        np.maximum(0.0, back, out=back)
     sums = back.sum(axis=-1)
     costs = costs_at(sums[..., 1:], d2[..., 1:, :], scn)
     below = sums < threshold
@@ -495,7 +464,7 @@ def open_loop_segment(
     good = (0.0 <= v) & (v <= scn.v_max) & np.isfinite(theta) & ~np.isnan(sums[..., 1 : n + 1])
     good &= np.isfinite(pos[..., 1 : n + 1, 0]) & np.isfinite(pos[..., 1 : n + 1, 1])
     valid = (good | (np.arange(n) >= end[..., None])).all(axis=-1)
-    return Segment(pos, raw, back, costs, end, ended, valid)
+    return Segment(pos, back, costs, end, ended, valid)
 
 
 def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -> Optional[tuple]:
@@ -517,7 +486,6 @@ def _replay(controls: np.ndarray, scn: Scenario, t_max: int, threshold: float) -
         seg.positions[: end + 1].copy(),
         seg.backlogs[: end + 1].copy(),
         controls[:end].copy(),
-        (seg.raw[1 : end + 1] > 0.0).astype(np.float64),
         end if seg.ended else None,
         seg.costs[:end].copy(),
     )
@@ -577,7 +545,9 @@ def generate_scenario(
     """
     check_seed("seed", seed)
     check_int("k", k, 1)
-    if not 0 <= demand_lo <= demand_hi:
+    check_nonnegative("demand_lo", demand_lo)
+    check_nonnegative("demand_hi", demand_hi)
+    if not demand_lo <= demand_hi:
         raise ScenarioError("need 0 <= demand_lo <= demand_hi")
     check_positive("area_side", area_side)
     rng = np.random.default_rng(seed)

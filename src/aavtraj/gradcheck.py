@@ -15,8 +15,8 @@ import numpy as np
 
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
-from .env import (Scenario, ScenarioError, TrajectoryRecord, check_positive, check_seed, generate_scenario,
-                  rates, rollout)
+from .env import (Scenario, ScenarioError, TrajectoryRecord, check_int, check_positive, check_seed,
+                  generate_scenario, rates, rollout)
 from .policy import PolicyController, PolicyParams, init_params
 from .smoothing import smoothness_penalty
 
@@ -201,8 +201,7 @@ def run_gradcheck(
     bundle = backward_closedloop(traj, inst.params, inst.scn, beta=beta, alpha=alpha)
     n = inst.params.flat.size
     if indices is None and sample is not None:
-        if sample < 1:
-            raise ScenarioError("sample must be >= 1")
+        check_int("sample", sample, 1)
         picker = np.random.default_rng(seed)
         indices = np.sort(picker.choice(n, size=min(sample, n), replace=False))
     idx = np.arange(n) if indices is None else check_indices(indices, n)

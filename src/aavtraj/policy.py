@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State, check_positive, clamp, move, rate_argument
+from .env import Control, Scenario, ScenarioError, State, check_int, check_positive, clamp, move, rate_argument
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -29,11 +29,10 @@ class LayerSpec:
     hidden: tuple = (64, 64, 32)
 
     def __post_init__(self):
+        check_int("k", self.k, 1)
+        for h in self.hidden:
+            check_int("hidden", h, 1)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.k < 1:
-            raise ScenarioError("k must be >= 1")
-        if any(h < 1 for h in self.hidden):
-            raise ScenarioError("hidden sizes must be >= 1")
 
     @property
     def input_dim(self) -> int:
@@ -319,8 +318,9 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
 
     copy, computed with the state in Python floats, or None when a step
     before termination would raise (non-finite or out-of-range control,
-    non-finite state) or H^2 overflows or underflows the floats;
-    _step_loop then runs the rollout.
+    non-finite state) or (d2 + H^2) * sigma2 underflows to zero; _step_loop
+    then runs the rollout. The tape is (positions, backlogs, controls,
+    terminated): rollout reads the clamp masks off the backlogs.
 
     Each step repeats the per-step loop's arithmetic, in its order, one
     float at a time (FloatObserver, env.rate_argument, env.clamp,
@@ -338,10 +338,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     layers = ctl.layers
     k, n, v_max, tau = scn.k, ctl.params.spec.input_dim, ctl.params.v_max, scn.tau
     eta, sigma2, bk = scn.eta, scn.sigma2, scn.bandwidth / scn.k
-    try:
-        h2 = scn.altitude**2
-    except OverflowError:
-        return None  # the loop raises it at its first step, if it takes one
+    h2 = scn.altitude**2  # finite: Scenario rejects an altitude whose square overflows
     if not h2 * sigma2 > 0.0:
         return None  # a float eta / 0.0 raises where the loop's array gives inf
 
@@ -354,7 +351,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     inputs, first, logs, head, tail = buf[: n + k], buf[:n], buf[n : n + k], buf[n + k :], buf[n:]
     q0 = q1 = 0.0
     d = scn.demands.tolist()
-    positions, backlogs, controls, raws = [q0, q1], list(d), [], []  # raws: drained, before the clamp
+    positions, backlogs, controls = [q0, q1], list(d), []
     witness = 0  # the index of a backlog >= threshold, when there is one
     terminated = None
 
@@ -382,26 +379,23 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
             v = v_max * _sigmoid(z0)
             if not (0.0 <= v <= v_max and math.isfinite(theta)):
                 return None  # math.cos(inf) would raise
-            raw = [x - rate * bk * tau for x, rate in zip(d, rates)]
-            d = [clamp(x) for x in raw]
+            d = [clamp(x - rate * bk * tau) for x, rate in zip(d, rates)]
             dq0, dq1 = move(v, theta, tau)
             q0 += dq0
             q1 += dq1
             positions += (q0, q1)
             backlogs += d
             controls += (v, theta)
-            raws += raw
         else:
             if float(np.sum(d)) < threshold:
                 terminated = t_max
 
-    positions, backlogs, controls, raws = (_rows(a, width) for a, width in
-                                           ((positions, 2), (backlogs, k), (controls, 2), (raws, k)))
+    positions, backlogs, controls = (_rows(a, width) for a, width in ((positions, 2), (backlogs, k), (controls, 2)))
     # one check over the finished tape: the loop raises at the first
     # non-finite row it makes, and it makes every row of the tape
     if not (np.isfinite(positions).all() and np.isfinite(backlogs).all()):
         return None
-    return positions, backlogs, controls, (raws > 0.0).astype(np.float64), terminated
+    return positions, backlogs, controls, terminated
 
 
 def _rows(flat: list, width: int) -> np.ndarray:

@@ -50,6 +50,8 @@ class TrainConfig:
     hidden: tuple = (64, 64, 32)
 
     def __post_init__(self):
+        for h in self.hidden:
+            check_int("hidden", h, 1)
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.optimizer not in ("adam", "sgd"):
             raise ScenarioError(f"unknown optimizer {self.optimizer!r}")

@@ -35,13 +35,13 @@ from aavtraj import (
     run_sweep,
     train,
 )
-from aavtraj.adjoint import hamiltonian
 from aavtraj.env import State
 from aavtraj.gradcheck import noise_floor, relative_error
 from aavtraj.policy import forward, observe
 from aavtraj.smoothing import smoothness_penalty, wrap_angle
 from aavtraj.sweep import TIMING_COLUMNS, aggregate, save_aggregate_csv, save_detail_csv
 from aavtraj.trainer import clip_gradient
+from oracles import hamiltonian
 
 
 def verdict(n: int, ok: bool, detail: str) -> bool:

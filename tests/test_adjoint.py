@@ -29,14 +29,14 @@ from aavtraj import (
 from aavtraj.adjoint import (
     GradientBundle,
     cost_grad_state,
-    hamiltonian,
     jacobian_control,
     jacobian_state,
 )
 from aavtraj.baselines import SequenceController
-from aavtraj.env import initial_state, rate_gradients, stage_cost, step
+from aavtraj.env import initial_state, stage_cost, step
 from aavtraj.policy import PolicyController, _sigmoid, observation_jacobian, observe, unpack, vjp
 from aavtraj.smoothing import smoothness_grads, smoothness_penalty
+from oracles import as_vector, hamiltonian, rate_gradients_at, step_and_mask
 
 
 def smooth_scn(k=2, seed=0, dist_weight=0.01):
@@ -77,24 +77,24 @@ class TestJacobians:
         rng = np.random.default_rng(2)
         x = State(q=rng.uniform(-2, 2, 2), d=rng.uniform(30, 50, 3))
         u = Control(0.17, 0.8)
-        _, mask = step(x, u, scn)
+        _, mask = step_and_mask(x, u, scn)
         a_mat = jacobian_state(x, u, mask, scn)
         assert a_mat.shape == (5, 5)
         h = 1e-6
-        base = x.as_vector()
+        base = as_vector(x)
         for j in range(5):
             e = np.zeros(5)
             e[j] = h
-            xp, _ = step(State(q=(base + e)[:2], d=(base + e)[2:]), u, scn)
-            xm, _ = step(State(q=(base - e)[:2], d=(base - e)[2:]), u, scn)
-            fd = (xp.as_vector() - xm.as_vector()) / (2 * h)
+            xp = step(State(q=(base + e)[:2], d=(base + e)[2:]), u, scn)
+            xm = step(State(q=(base - e)[:2], d=(base - e)[2:]), u, scn)
+            fd = (as_vector(xp) - as_vector(xm)) / (2 * h)
             assert np.allclose(a_mat[:, j], fd, rtol=1e-6, atol=1e-9)
 
     def test_state_jacobian_blocks(self):
         scn = smooth_scn(k=2, seed=3)
         x = State(q=np.array([0.5, -0.5]), d=np.array([40.0, 50.0]))
         u = Control(0.1, 0.0)
-        _, mask = step(x, u, scn)
+        _, mask = step_and_mask(x, u, scn)
         a_mat = jacobian_state(x, u, mask, scn)
         assert np.array_equal(a_mat[:2, :2], np.eye(2))  # position carries over
         assert np.all(a_mat[:2, 2:] == 0.0)              # backlog cannot move it
@@ -105,7 +105,7 @@ class TestJacobians:
         scn = smooth_scn(k=2, seed=4)
         x = State(q=np.zeros(2), d=np.array([45.0, 0.0]))
         u = Control(0.05, 1.0)
-        _, mask = step(x, u, scn)
+        _, mask = step_and_mask(x, u, scn)
         assert mask[1] == 0
         a_mat = jacobian_state(x, u, mask, scn)
         assert np.all(a_mat[3, :] == 0.0)
@@ -119,9 +119,9 @@ class TestJacobians:
         assert np.all(b_mat[2:, :] == 0.0)  # backlog update ignores the control
         h = 1e-7
         for j, bump in enumerate([(h, 0.0), (0.0, h)]):
-            up, _ = step(x, Control(u.v + bump[0], u.theta + bump[1]), scn)
-            dn, _ = step(x, Control(u.v - bump[0], u.theta - bump[1]), scn)
-            fd = (up.as_vector() - dn.as_vector()) / (2 * h)
+            up = step(x, Control(u.v + bump[0], u.theta + bump[1]), scn)
+            dn = step(x, Control(u.v - bump[0], u.theta - bump[1]), scn)
+            fd = (as_vector(up) - as_vector(dn)) / (2 * h)
             assert np.allclose(b_mat[:, j], fd, rtol=1e-6, atol=1e-10)
 
     def test_cost_grad_matches_fd(self):
@@ -129,7 +129,7 @@ class TestJacobians:
         x = State(q=np.array([0.3, -1.2]), d=np.array([42.0, 55.0]))
         g = cost_grad_state(x, scn)
         h = 1e-6
-        base = x.as_vector()
+        base = as_vector(x)
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
@@ -205,7 +205,7 @@ class TestOpenLoop:
         states, controls, masks = [x], [], []
         for t in range(6):
             u = Control(0.1, math.pi / 2)
-            x, mask = step(x, u, scn)
+            x, mask = step_and_mask(x, u, scn)
             states.append(x)
             controls.append(u)
             masks.append(mask)
@@ -328,7 +328,7 @@ def jacobian_state_per_step(x, mask, scn):
     jac = np.zeros((2 + k, 2 + k))
     jac[0, 0] = 1.0
     jac[1, 1] = 1.0
-    jac[2:, :2] = -mask[:, None] * scn.tau * rate_gradients(x.q, scn)
+    jac[2:, :2] = -mask[:, None] * scn.tau * rate_gradients_at(x.q, scn)
     jac[2:, 2:] = np.diag(mask)
     return jac
 

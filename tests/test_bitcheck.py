@@ -60,3 +60,20 @@ def test_sweep_digests_repeat_and_catch_a_nudged_gradient(monkeypatch):
     tags = [f"{preset}.{tag}" for preset in bitcheck.PRESETS for tag in ("0.k1", "1.k3", "k20", "zero-demand.k4")]
     assert got == sorted(f"{tag}.{kind}open.action_grads" for tag in (*tags, "long.t1500.k4")
                          for kind in ("", "sequence."))
+
+
+def test_step_loop_digests_repeat_and_catch_a_flipped_mask(monkeypatch):
+    first = digests_of(bitcheck.step_loop_outputs())
+    assert digests_of(bitcheck.step_loop_outputs()) == first
+    real = aavtraj.rollout
+
+    def flipped(*args):
+        traj = real(*args)
+        traj.active_masks = 1.0 - traj.active_masks
+        return traj
+
+    monkeypatch.setattr(aavtraj, "rollout", flipped)
+    got = set(bitcheck.moved(first, digests_of(bitcheck.step_loop_outputs())))
+    masks = {name for name in first if name.endswith(".active_masks")}
+    # every tape's masks, on the step loop and on both array paths of the exact-zero cases
+    assert masks <= got and len(masks) == 2 * 2 * len(bitcheck.KS) + 3 * 5

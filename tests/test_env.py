@@ -24,20 +24,29 @@ from aavtraj import (
     rollout,
     save_scenario,
 )
-from aavtraj import PolicyController, env, init_params, policy
+from aavtraj import (
+    ConstantController,
+    GreedyController,
+    PolicyController,
+    SweepSpec,
+    TrainConfig,
+    env,
+    init_params,
+    policy,
+    run_gradcheck,
+)
 from aavtraj.baselines import OPEN_LOOP_SEGMENT
 from aavtraj.env import (
     initial_state,
-    rate,
-    rate_gradients,
+    move,
     rates,
     scenario_from_dict,
     scenario_to_dict,
     stage_cost,
     step,
-    step_kinematics,
-    step_tasks,
 )
+from aavtraj.policy import LayerSpec
+from oracles import as_vector, drain_mask, rate_gradients_at, step_and_mask
 
 
 def unit_scn(users, demands, **kw):
@@ -58,18 +67,18 @@ class TestRate:
     def test_colocated_unit_parameters(self):
         # snr = 1/((0+1)*1) = 1, rate = log2(2)
         scn = unit_scn([[0.0, 0.0]], [1.0])
-        assert rate(np.zeros(2), 0, scn) == pytest.approx(1.0, abs=1e-15)
+        assert rates(np.zeros(2), scn)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_sqrt3_offset(self):
         # r^2 = 3 -> snr = 1/4 -> log2(1.25)
         scn = unit_scn([[math.sqrt(3.0), 0.0]], [1.0])
-        assert rate(np.zeros(2), 0, scn) == pytest.approx(
+        assert rates(np.zeros(2), scn)[0] == pytest.approx(
             0.32192809488736235, rel=1e-14)
 
     def test_snr_two_case(self):
         # r^2 = 4, sigma2 = 0.1 -> snr = 1/0.5 = 2 -> log2(3)
         scn = unit_scn([[2.0, 0.0]], [1.0], sigma2=0.1)
-        assert rate(np.zeros(2), 0, scn) == pytest.approx(
+        assert rates(np.zeros(2), scn)[0] == pytest.approx(
             math.log2(3.0), rel=1e-14)
 
     def test_bandwidth_split(self):
@@ -77,21 +86,16 @@ class TestRate:
         scn2 = unit_scn([[0, 0], [3, 0]], [1, 1])
         scn1 = unit_scn([[0, 0], [3, 0]], [1, 1], bandwidth=1.0)
         q = np.zeros(2)
-        assert rate(q, 0, scn1) == pytest.approx(0.5 * rate(q, 0, scn2), rel=1e-14)
+        assert rates(q, scn1)[0] == pytest.approx(0.5 * rates(q, scn2)[0], rel=1e-14)
 
     def test_vanishing_signal_limit(self):
         scn = unit_scn([[1.0, 0.0]], [1.0], eta=1e-12)
-        assert 0.0 < rate(np.zeros(2), 0, scn) < 1e-11
-
-    def test_index_out_of_range(self):
-        scn = unit_scn([[0.0, 0.0]], [1.0])
-        with pytest.raises(ScenarioError):
-            rate(np.zeros(2), 1, scn)
+        assert 0.0 < rates(np.zeros(2), scn)[0] < 1e-11
 
     def test_strictly_decreasing_in_distance(self):
         scn = unit_scn([[0.0, 0.0]], [1.0], sigma2=0.1)
         radii = np.linspace(0.0, 7.0, 40)
-        vals = [rate(np.array([r, 0.0]), 0, scn) for r in radii]
+        vals = [rates(np.array([r, 0.0]), scn)[0] for r in radii]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_batched_rates_match_scalar(self):
@@ -100,7 +104,7 @@ class TestRate:
         batched = rates(pts, scn)
         for j, q in enumerate(pts):
             for i in range(3):
-                assert batched[j, i] == rate(q, i, scn)
+                assert batched[j, i] == rates(q, scn)[i]
 
 
 class TestRateGradients:
@@ -108,7 +112,7 @@ class TestRateGradients:
         # user at (3,0), q at origin, sigma2 = 0.1: snr = 1,
         # dR/dq = -(1/ln2) * (1/2) * 2*(q-w)/(0.1*100) = (0.3/ln2, 0)
         scn = unit_scn([[3.0, 0.0]], [1.0], sigma2=0.1)
-        g = rate_gradients(np.zeros(2), scn)
+        g = rate_gradients_at(np.zeros(2), scn)
         assert g.shape == (1, 2)
         assert g[0, 0] == pytest.approx(0.3 / math.log(2.0), rel=1e-13)
         assert g[0, 1] == 0.0
@@ -119,7 +123,7 @@ class TestRateGradients:
         h = 1e-6
         for _ in range(5):
             q = rng.uniform(-4, 4, size=2)
-            g = rate_gradients(q, scn)
+            g = rate_gradients_at(q, scn)
             for axis in range(2):
                 e = np.zeros(2)
                 e[axis] = h
@@ -127,25 +131,30 @@ class TestRateGradients:
                 assert np.allclose(g[:, axis], fd, rtol=1e-6, atol=1e-9)
 
 
+def moved(q, u, scn):
+    """The position step() gives from q under u (the backlogs are the demands)."""
+    return step(State(q=q, d=scn.demands), u, scn).q
+
+
 class TestKinematics:
     def test_zero_speed(self):
         scn = unit_scn([[0, 0]], [1])
         q = np.array([1.0, -2.0])
-        assert np.array_equal(step_kinematics(q, Control(0.0, 1.234), scn), q)
+        assert np.array_equal(moved(q, Control(0.0, 1.234), scn), q)
 
     def test_axis_moves(self):
         scn = unit_scn([[0, 0]], [1])
         q = np.zeros(2)
-        assert np.allclose(step_kinematics(q, Control(0.2, 0.0), scn),
+        assert np.allclose(moved(q, Control(0.2, 0.0), scn),
                            [0.2, 0.0], atol=1e-15)
-        assert np.allclose(step_kinematics(q, Control(0.2, math.pi / 2), scn),
+        assert np.allclose(moved(q, Control(0.2, math.pi / 2), scn),
                            [0.0, 0.2], atol=1e-15)
 
     def test_speed_bounds_enforced(self):
         scn = unit_scn([[0, 0]], [1])
         for bad in (0.21, -0.01):
             with pytest.raises(ScenarioError):
-                step_kinematics(np.zeros(2), Control(bad, 0.0), scn)
+                moved(np.zeros(2), Control(bad, 0.0), scn)
 
     @given(v=st.floats(0.0, 0.2), theta=st.floats(-10.0, 10.0),
            qx=st.floats(-5, 5), qy=st.floats(-5, 5))
@@ -153,31 +162,35 @@ class TestKinematics:
     def test_step_size_exact(self, v, theta, qx, qy):
         scn = unit_scn([[0, 0]], [1])
         q = np.array([qx, qy])
-        q2 = step_kinematics(q, Control(v, theta), scn)
+        q2 = moved(q, Control(v, theta), scn)
         assert abs(np.linalg.norm(q2 - q) - v * scn.tau) < 1e-12
 
 
 class TestTasks:
     def test_completed_stays_completed(self):
         scn = unit_scn([[0.0, 0.0]], [1.0])
-        d2, mask = step_tasks(np.array([0.0]), np.zeros(2), scn)
+        x2, mask = step_and_mask(State(q=np.zeros(2), d=[0.0]), Control(0.0, 0.0), scn)
+        d2 = x2.d
         assert d2[0] == 0.0 and mask[0] == 0
 
     def test_partial_drain(self):
         # colocated unit-parameter rate is exactly 1; scale tau for R*tau = 0.2
         scn = unit_scn([[0.0, 0.0]], [1.0], tau=0.2)
-        d2, mask = step_tasks(np.array([0.5]), np.zeros(2), scn)
+        x2, mask = step_and_mask(State(q=np.zeros(2), d=[0.5]), Control(0.0, 0.0), scn)
+        d2 = x2.d
         assert d2[0] == pytest.approx(0.3, abs=1e-15)
         assert mask[0] == 1
 
     def test_clamp(self):
         scn = unit_scn([[0.0, 0.0]], [1.0], tau=0.2)
-        d2, mask = step_tasks(np.array([0.1]), np.zeros(2), scn)
+        x2, mask = step_and_mask(State(q=np.zeros(2), d=[0.1]), Control(0.0, 0.0), scn)
+        d2 = x2.d
         assert d2[0] == 0.0 and mask[0] == 0
 
     def test_exact_zero_counts_as_clamped(self):
         scn = unit_scn([[0.0, 0.0]], [1.0])  # rate exactly 1.0, tau 1
-        d2, mask = step_tasks(np.array([1.0]), np.zeros(2), scn)
+        x2, mask = step_and_mask(State(q=np.zeros(2), d=[1.0]), Control(0.0, 0.0), scn)
+        d2 = x2.d
         assert d2[0] == 0.0 and mask[0] == 0
 
 
@@ -185,7 +198,7 @@ class TestStep:
     def test_fixed_point(self):
         scn = unit_scn([[1.0, 1.0]], [0.0])
         x = State(q=np.array([0.5, 0.5]), d=np.array([0.0]))
-        x2, mask = step(x, Control(0.0, 0.3), scn)
+        x2, mask = step_and_mask(x, Control(0.0, 0.3), scn)
         assert np.array_equal(x2.q, x.q) and np.array_equal(x2.d, x.d)
         assert mask[0] == 0
 
@@ -193,11 +206,12 @@ class TestStep:
         scn = default_scn([[1, 2], [-3, 0.5]], [0.9, 0.6])
         x = State(q=np.array([0.2, -0.1]), d=np.array([0.9, 0.6]))
         u = Control(0.15, 2.0)
-        x2, mask = step(x, u, scn)
-        d_ref, mask_ref = step_tasks(x.d, x.q, scn)  # rates at pre-step q
-        assert np.array_equal(x2.q, step_kinematics(x.q, u, scn))
-        assert np.array_equal(x2.d, d_ref)
-        assert np.array_equal(mask, mask_ref)
+        x2, mask = step_and_mask(x, u, scn)
+        raw = x.d - rates(x.q, scn) * scn.tau  # rates at pre-step q
+        assert np.array_equal(x2.q, x.q + np.array(move(u.v, u.theta, scn.tau)))
+        assert np.array_equal(x2.d, np.maximum(0.0, raw))
+        assert np.array_equal(mask, (raw > 0.0).astype(float))
+        assert np.array_equal((x2.d > 0.0).astype(float), mask)  # the rule rollout reads the masks by
 
     def test_against_straight_line_reimplementation(self):
         scn = default_scn([[1, 2], [-3, 0.5], [4, -1]], [1, 1, 1])
@@ -207,7 +221,7 @@ class TestStep:
             d = rng.uniform(0, 1, size=3)
             v = rng.uniform(0, scn.v_max)
             th = rng.uniform(-math.pi, math.pi)
-            x2, _ = step(State(q=q, d=d), Control(v, th), scn)
+            x2 = step(State(q=q, d=d), Control(v, th), scn)
             q_ref = q + v * scn.tau * np.array([math.cos(th), math.sin(th)])
             d_ref = np.empty(3)
             for i in range(3):
@@ -409,7 +423,7 @@ class TestRollout:
         scn = default_scn([[2, 1], [-1, 3]], [1.0, 0.8])
         a = rollout(self.hover(), scn, 10, 1e-3)
         b = rollout(self.hover(), scn, 10, 1e-3)
-        assert all(np.array_equal(x.as_vector(), y.as_vector())
+        assert all(np.array_equal(as_vector(x), as_vector(y))
                    for x, y in zip(a.states, b.states))
         assert np.array_equal(a.stage_costs, b.stage_costs)
 
@@ -746,8 +760,13 @@ class TestPolicyTape:
 
     @pytest.mark.parametrize("altitude, sigma2, demand", [(1e200, 1.0, 0.0), (1e-200, 1e-200, 1.0)])
     def test_radio_constants_the_floats_cannot_take(self, altitude, sigma2, demand):
-        # H^2 raises OverflowError in Python; or (d2 + H^2) * sigma2 is 0.0 over the user,
-        # where a float eta / 0.0 raises and the loop's array gives inf: both take the loop
+        # H^2 raises OverflowError in Python, so the scenario is refused; or (d2 + H^2) * sigma2
+        # is 0.0 over the user, where a float eta / 0.0 raises and the loop's array gives inf:
+        # that takes the loop
+        if altitude > math.sqrt(np.finfo(float).max):
+            with pytest.raises(ScenarioError, match="altitude 1e\\+200 is too large: its square overflows"):
+                unit_scn([[0.0, 0.0]], [demand], altitude=altitude, sigma2=sigma2)
+            return
         scn = unit_scn([[0.0, 0.0]], [demand], altitude=altitude, sigma2=sigma2)
         ctl = controller(scn, hidden=(8,), entry=(-2, -math.inf))
         assert policy.policy_tape(ctl, scn, 5, 1e-3) is None
@@ -806,6 +825,71 @@ class TestPolicyTape:
             fast, stepped_tape = array_and_loop(ctl, scn, 60)
             assert fast == stepped_tape and calls[-1] is scn
         assert len(calls) == 2
+
+
+class HoveringSubclass(PolicyController):
+    """A PolicyController subclass: rollout steps it one slot at a time."""
+
+
+def mask_sources(scn, t_max):
+    """(name, control source) of every rollout path: the float tape of a
+    PolicyController, the replay of a SequenceController and the step loop
+    of greedy, of a hover and of a PolicyController subclass. The policies
+    hover: a -inf speed bias gives v = 0.
+    """
+    hovering = controller(scn, hidden=(8,), entry=(-2, -math.inf))
+    return (("policy", hovering), ("sequence", SequenceController(np.zeros((t_max, 2)))),
+            ("greedy", GreedyController(scn)), ("hover", ConstantController(0.0, 0.0)),
+            ("subclass", HoveringSubclass(hovering.params, scn)))
+
+
+def assert_masks_are_the_drains(traj, scn):
+    """active_masks equal, row by row, the oracle of the drain before the clamp."""
+    want = [drain_mask(x, scn) for x in traj.states[:-1]]
+    assert traj.active_masks.tobytes() == np.array(want).reshape(-1, scn.k).tobytes()
+
+
+class TestMaskRule:
+    """rollout reads every tape's clamp masks off its backlogs; on every path
+    they are those of the drain before the clamp, d_t - rates(q_t) * tau > 0.
+    """
+
+    @pytest.mark.parametrize("source", ["policy", "sequence", "greedy", "hover", "subclass"])
+    def test_exact_zero_zero_demand_drained_and_underflowing_users(self, source):
+        # unit physics: the user at the origin drains exactly 1.0 per slot of a hover and
+        # lands on 0.0 at step 2, then stays drained; the second user has nothing to send;
+        # the third is so far that its rate rounds to 0.0 and its backlog never moves
+        scn = unit_scn([[0.0, 0.0], [3.0, 0.0], [1e9, 0.0]], [2.0, 0.0, 5.0])
+        assert rates(np.zeros(2), scn)[2] == 0.0
+        ctl = dict(mask_sources(scn, 6))[source]
+        traj = rollout(ctl, scn, 6, 1e-3)
+        assert traj.steps == 6 and traj.terminated_step is None
+        assert_masks_are_the_drains(traj, scn)
+        assert traj.active_masks[:, 1].tolist() == [0.0] * 6
+        assert traj.active_masks[:, 2].tolist() == [1.0] * 6
+        if source != "greedy":  # the others hover over the first user
+            assert traj.backlogs[2, 0] == 0.0 and traj.active_masks[:, 0].tolist() == [1, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("long", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_seeded_tapes_of_every_path(self, k, long):
+        scn = generate_scenario(k, k=k, demand_lo=20.0 if long else 0.5, demand_hi=40.0 if long else 1.0)
+        if k > 1:
+            scn = replace(scn, demands=np.where(np.arange(k) == k - 1, 0.0, scn.demands))  # a zero-demand user
+        rng = np.random.default_rng(k)
+        plan = np.column_stack([rng.uniform(0.0, scn.v_max, 300), rng.uniform(-math.pi, math.pi, 300)])
+        sources = (("policy", controller(scn, hidden=(8,), seed=k)), ("sequence", SequenceController(plan)),
+                   *mask_sources(scn, 300)[2:])
+        for name, ctl in sources:
+            traj = rollout(ctl, scn, 300, 1e-3)
+            assert traj.steps > 0, name
+            assert_masks_are_the_drains(traj, scn)
+
+    def test_the_array_paths_make_the_tapes(self):
+        scn = unit_scn([[0.0, 0.0], [3.0, 0.0], [1e9, 0.0]], [2.0, 0.0, 5.0])
+        sources = dict(mask_sources(scn, 6))
+        assert policy.policy_tape(sources["policy"], scn, 6, 3e-3) is not None
+        assert env._replay(sources["sequence"].controls, scn, 6, 3e-3) is not None
 
 
 class TestScenario:
@@ -876,6 +960,22 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="missing required field 'demands'"):
             scenario_from_dict(data)
 
+    def test_positive_fields_are_checked_and_stored_as_floats(self):
+        with pytest.raises(ScenarioError, match="area_side must be a positive finite number, got True"):
+            unit_scn([[0, 0]], [1.0], area_side=True)
+        scn = unit_scn([[0, 0]], [1.0], area_side=10, v_max=np.float32(0.2), eta=np.float64(2.0))
+        for name in ("area_side", "eta", "sigma2", "altitude", "bandwidth", "tau", "v_max"):
+            assert type(getattr(scn, name)) is float, name
+        assert scn.v_max == float(np.float32(0.2)) and scn.area_side == 10.0
+        assert scenario_to_dict(scn)["area_side"] == 10.0 and "10.0" in repr(scenario_to_dict(scn))
+
+    def test_an_altitude_whose_square_overflows_is_refused(self):
+        with pytest.raises(ScenarioError, match="altitude 1e\\+200 is too large"):
+            generate_scenario(0, altitude=1e200)
+        with pytest.raises(ScenarioError, match="altitude 1e\\+200 is too large"):
+            SweepSpec(variable="K", values=[2], scenario={"altitude": 1e200})
+        generate_scenario(0, altitude=1e150)  # its square is finite
+
     def test_dict_round_trip(self):
         scn = generate_scenario(9, k=3)
         back = scenario_from_dict(scenario_to_dict(scn))
@@ -891,3 +991,19 @@ class TestScenario:
         back = load_scenario(p)
         assert np.array_equal(back.user_positions, scn.user_positions)
         assert back.eta == 1.5
+
+
+@pytest.mark.parametrize("field, make", [
+    ("k", lambda: LayerSpec(k=2.5)),
+    ("hidden", lambda: LayerSpec(k=2, hidden=(8, 2.7))),
+    ("hidden", lambda: TrainConfig(hidden=(2.7,))),
+    ("hidden", lambda: TrainConfig(hidden=(True,))),
+    ("t_max", lambda: rollout(ConstantController(0.0, 0.0), generate_scenario(0), True, 1e-3)),
+    ("t_max", lambda: rollout(ConstantController(0.0, 0.0), generate_scenario(0), 2.5, 1e-3)),
+    ("sample", lambda: run_gradcheck(k=1, horizon=2, hidden=(4,), sample=2.5)),
+    ("demand_lo", lambda: generate_scenario(0, demand_lo="a")),
+    ("demand_hi", lambda: generate_scenario(0, demand_hi=math.inf)),
+])
+def test_bad_counts_and_bounds_raise_a_scenario_error_naming_the_field(field, make):
+    with pytest.raises(ScenarioError, match=f"^{field} must be"):
+        make()

@@ -16,6 +16,12 @@ only one side has. It exits 1 if any did, 0 otherwise.
 - per preset, replays of a random plan longer than their horizons, and
   one on the same scenario without the distance term (dist_weight 0,
   where stage costs are the backlog sums alone);
+- step-loop tapes and their open-loop sweeps: greedy and a hover on a
+  scenario of each preset for each K in KS, and hand-built scenarios
+  where a backlog lands exactly on zero (with a zero-demand user and a
+  user whose rate rounds to zero), on every rollout path: a hovering
+  policy's float tape, a replay, and the step loop of greedy, a hover
+  and a PolicyController subclass;
 - a 5-iteration training log on the long preset without its wall-clock
   columns, and the trained parameters;
 - a 3-generation GA log and best plan on each preset, on GA_LONG's
@@ -134,6 +140,59 @@ def long_plan_outputs() -> dict:
     return out
 
 
+def step_loop_cases():
+    """(tag, scenario, t_max) of the step-loop tapes: per preset a scenario
+
+    for each K in KS, then the hand-built exact-zero scenarios at unit
+    physics, where a user under a hovering vehicle drains exactly 1.0 per
+    slot (tau 0.5: 0.5 per slot).
+    """
+    from aavtraj import Scenario, generate_scenario
+
+    for preset, (lo, hi) in PRESETS.items():
+        for i, k in enumerate(KS):
+            yield f"{preset}.loop{i}.k{k}", generate_scenario(200 + i, k=k, demand_lo=lo, demand_hi=hi), 500
+    unit = dict(area_side=10.0, eta=1.0, sigma2=1.0, altitude=1.0, v_max=0.2, dist_weight=0.01, seed=0)
+    yield ("zero.mixed.k3", Scenario(user_positions=np.array([[0.0, 0.0], [3.0, 0.0], [1e9, 0.0]]),
+                                     demands=np.array([2.0, 0.0, 5.0]), **unit), 8)
+    yield "zero.ends.k1", Scenario(user_positions=np.zeros((1, 2)), demands=np.array([3.0]), **unit), 8
+    yield ("zero.half.k2", Scenario(user_positions=np.array([[0.0, 0.0], [0.0, 0.0]]),
+                                    demands=np.array([1.5, 4.0]), tau=0.5, **unit), 12)
+
+
+def step_loop_outputs() -> dict:
+    """Tapes and open-loop sweeps of step_loop_cases(): greedy and a hover on
+
+    every case, and on the exact-zero cases a hovering policy (a -inf speed
+    bias), its replay and a PolicyController subclass too.
+    """
+    from dataclasses import replace
+
+    from aavtraj import (ConstantController, GreedyController, PolicyController, SequenceController,
+                         backward_openloop, init_params, rollout)
+
+    class Subclass(PolicyController):
+        pass
+
+    out = {}
+    for tag, scn, t_max in step_loop_cases():
+        sources = {"greedy": GreedyController(scn), "hover": ConstantController(0.0, 0.0)}
+        if tag.startswith("zero."):
+            params = init_params(0, k=scn.k, hidden=(8,), v_max=scn.v_max)
+            flat = params.flat.copy()
+            flat[-2] = -np.inf
+            params = replace(params, flat=flat)
+            sources.update(policy=PolicyController(params, scn), sequence=SequenceController(np.zeros((t_max, 2))),
+                           subclass=Subclass(params, scn))
+        for name, source in sources.items():
+            traj = rollout(source, scn, t_max, 1e-3)
+            out.update(tape_outputs(f"{tag}.{name}", traj))
+            costates, grads = backward_openloop(traj, scn)
+            out[f"{tag}.{name}.open.costates"] = np.asarray(costates)
+            out[f"{tag}.{name}.open.action_grads"] = grads
+    return out
+
+
 def training_outputs() -> dict:
     from aavtraj import TrainConfig, generate_scenario, train
 
@@ -190,8 +249,8 @@ def sweep_csv_outputs() -> dict:
 
 
 def digests() -> dict:
-    outputs = {**sweep_outputs(), **long_plan_outputs(), **training_outputs(), **ga_outputs(),
-               **sweep_csv_outputs()}
+    outputs = {**sweep_outputs(), **long_plan_outputs(), **step_loop_outputs(), **training_outputs(),
+               **ga_outputs(), **sweep_csv_outputs()}
     return {name: digest(value) for name, value in outputs.items()}
 
 
