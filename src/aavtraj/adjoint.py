@@ -25,24 +25,28 @@ from .env import (
 )
 from .policy import (
     PolicyParams,
+    SweepScratch,
     activations,
+    derivative_factors,
     head_slopes,
     input_jacobians,
     observation_jacobian,
     observations,
     observe,
     pullback,
+    recorded_pass,
     unpack,
     vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
 )
 from .smoothing import smoothness_grads, smoothness_penalty
 
 
-def state_jacobians(masks: np.ndarray, rate_grads: np.ndarray, scn: Scenario) -> np.ndarray:
+def state_jacobians(masks: np.ndarray, rate_grads: np.ndarray, scn: Scenario,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """d next_state / d state of every step, (T, 2+K, 2+K), from the
 
     recorded clamp masks (T, K) and the rate gradients (T, K, 2) at the
-    pre-step positions.
+    pre-step positions, written into out when given.
 
     Block structure: the position rows are the identity (position does
     not feed back on itself beyond translation), clamped backlog rows
@@ -51,7 +55,11 @@ def state_jacobians(masks: np.ndarray, rate_grads: np.ndarray, scn: Scenario) ->
     """
     t_len, k = masks.shape
     n = 2 + k
-    jac = np.zeros((t_len, n, n))
+    if out is None:
+        jac = np.zeros((t_len, n, n))
+    else:
+        jac = out
+        jac[...] = 0.0
     flat = jac.reshape(t_len, n * n)
     flat[:, : 2 * n : n + 1] = 1.0  # the position rows
     flat[:, 2 * (n + 1) :: n + 1] = masks  # the backlog rows' diagonal
@@ -129,30 +137,35 @@ def _check_record(traj: TrajectoryRecord, scn: Scenario) -> None:
 
 
 def _costates(traj: TrajectoryRecord, scn: Scenario, du_dx: Optional[np.ndarray],
-              extra: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+              extra: Optional[np.ndarray], scratch: Optional[SweepScratch] = None) -> tuple[np.ndarray, np.ndarray]:
     """The discrete adjoint recurrence lam_t = M_t^T lam_{t+1} + e_t over a
 
     checked tape, from lam_T, the stage-cost gradient at the last state.
     M_t = A_t + B_t du_dx_t chains the state Jacobian with the control
     law's Jacobian du_dx (T, 2, 2+K); e_t is the stage-cost gradient (zero
     at t = 0) plus the rows extra (T, 2+K). Free controls have neither
-    (None). M_t and e_t are built for the whole tape at once; only the T
-    mat-vecs run in sequence. Returns lam (T+1, 2+K) and B (T, 2+K, 2).
+    (None). M_t and e_t are built for the whole tape at once, in scratch's
+    two halves when given; only the T mat-vecs run in sequence, over row
+    views. Returns lam (T+1, 2+K) and B (T, 2+K, 2), new arrays.
     """
+    t_len, n = traj.steps, 2 + scn.k
     b_mats = control_jacobians(traj.controls, scn)
     # the vehicle-to-user offsets of every visited state, shared by the
     # rate gradients (pre-step rows) and the stage-cost gradients (all rows)
     diff = traj.positions[:, None, :] - scn.user_positions
     d2 = np.sum(diff * diff, axis=2)
-    m_mats = state_jacobians(traj.active_masks, rate_gradients_of_offsets(diff[:-1], d2[:-1], scn), scn)
+    m_out = prod = None
+    if scratch is not None:
+        m_out, prod = (scratch.view(half, (t_len, n, n)) for half in scratch.halves)
+    m_mats = state_jacobians(traj.active_masks, rate_gradients_of_offsets(diff[:-1], d2[:-1], scn), scn, m_out)
     if du_dx is not None:
-        m_mats += b_mats @ du_dx
+        m_mats += np.matmul(b_mats, du_dx, out=prod)
     lam = cost_gradients(diff, d2, scn)  # rows 0..T-1 start as e_t, row T is lam_T
     lam[0] = 0.0
     if extra is not None:
         lam[:-1] += extra
-    for t in range(traj.steps - 1, -1, -1):
-        lam[t] += lam[t + 1] @ m_mats[t]
+    for row, later, m in zip(lam[-2::-1], lam[:0:-1], m_mats[::-1]):  # row views of steps T-1..0
+        row += later @ m
     if not np.isfinite(lam[:-1]).all():
         bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
         raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches
@@ -192,14 +205,24 @@ def backward_closedloop(
 ) -> GradientBundle:
     """Reverse sweep of the full training objective through the policy.
 
-    The policy's forward pass is recomputed from the tape's states in one
-    batched pass, and the headings it gives must be the tape's bit for
-    bit, so the tape must come from rolling out these parameter values.
-    It gives the control law's Jacobian du_dx_t = diag(h_t) J_t O (head
-    slope, policy input Jacobian, observation Jacobian), which enters the
-    adjoint recurrence (_costates) with du_dx_t^T of the smoothness
+    The sweep needs the policy's forward pass at every state of the tape.
+    When traj is the latest float tape of the PolicyController that rolled
+    it out, rolled out with params (bit for bit) on scn, its own scenario,
+    the rows that controller's workspace recorded are read
+    (policy.recorded_pass), and the sweep works in that workspace's
+    scratch, held for the controller's run. Any other tape (a replay of
+    its controls, a step-loop tape, a record built by hand, an earlier
+    tape, other parameters) has the pass recomputed from its states in
+    one batched pass, and the headings it gives must be the tape's bit
+    for bit, so the tape must come from rolling out these parameter
+    values; that sweep works in new arrays. Both give the same bits.
+
+    The pass gives the control law's Jacobian du_dx_t = diag(h_t) J_t O
+    (head slope, policy input Jacobian, observation Jacobian), which enters
+    the adjoint recurrence (_costates) with du_dx_t^T of the smoothness
     partials as extra e_t rows. The action gradients and one batched
-    policy pullback of the parameter gradient follow from the costates.
+    policy pullback of the parameter gradient follow from the costates;
+    the bundle's arrays are new ones.
     """
     _check_record(traj, scn)  # before the forward pass, which reads the tape too
     controls = traj.controls
@@ -207,20 +230,29 @@ def backward_closedloop(
     j_smooth = smoothness_penalty(controls, alpha)
     j_total = j_task + beta * j_smooth
 
-    layers = unpack(params)
-    acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
-    if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
-        raise ScenarioError("trajectory record was rolled out with different params")
-    slopes = head_slopes(acts[-1], params.v_max)
-    du_dx = input_jacobians(layers, acts, slopes) @ observation_jacobian(scn)
+    ws = recorded_pass(traj, params, scn)
+    if ws is None:
+        layers = unpack(params)
+        acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+        if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
+            raise ScenarioError("trajectory record was rolled out with different params")
+        acts, z0 = acts[:-1], acts[-1][:, 0]
+        obs_jac, scratch = observation_jacobian(scn), SweepScratch(params.spec, scn.k)
+    else:
+        layers, acts, z0 = ws.sweep_inputs(traj.steps)
+        obs_jac, scratch = ws.obs_jac, ws.scratch
+    scratch.fit(traj.steps)
+    slopes = head_slopes(z0, params.v_max)
+    ders = derivative_factors(acts[1:], scratch.ders)
+    du_dx = input_jacobians(layers, ders, slopes, obs_jac, scratch)
     s_grads, extra = np.zeros(controls.shape), None
     if beta != 0.0:
         s_grads = beta * smoothness_grads(controls, alpha)
         extra = np.einsum("ti,tij->tj", s_grads, du_dx)
-    lam, b_mats = _costates(traj, scn, du_dx, extra)
+    lam, b_mats = _costates(traj, scn, du_dx, extra, scratch)
 
     action_grads = np.einsum("tij,ti->tj", b_mats, lam[1:]) + s_grads
-    param_grad, _ = pullback(layers, acts, slopes * action_grads)
+    param_grad, _ = pullback(layers, acts, ders, slopes * action_grads, scratch)
     if not np.isfinite(param_grad).all():
         raise NumericFailure(0, "backward")
     return GradientBundle(action_grads, param_grad, j_task, j_smooth, j_total)

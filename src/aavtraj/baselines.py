@@ -23,6 +23,7 @@ from .env import (  # SequenceController stays importable from here
     SequenceController,
     State,
     TrajectoryRecord,
+    as_float,
     check_int,
     check_nonnegative,
     check_positive,
@@ -74,7 +75,10 @@ class GreedyConfig:
             grid = self.speed_grid
             if not (np.iterable(grid) and all(is_number(s) for s in grid)):
                 raise ScenarioError(f"speed_grid must be a list of numbers, got {grid!r}")
-            self.speed_grid = tuple(float(s) for s in grid)
+            try:
+                self.speed_grid = tuple(float(s) for s in grid)
+            except OverflowError:
+                raise ScenarioError(f"speed_grid must be a list of numbers that fit a float, got {grid!r}") from None
 
 
 def greedy_action(x: State, scn: Scenario, cfg: GreedyConfig) -> Control:
@@ -140,7 +144,7 @@ class GaConfig:
             raise ScenarioError(f"crossover_rate must be a number in [0, 1], got {self.crossover_rate!r}")
         std = self.mutation_std
         if not (isinstance(std, (tuple, list)) and len(std) == 2
-                and all(is_number(s) and 0.0 <= s < math.inf for s in std)):
+                and all(is_number(s) and 0.0 <= as_float(s) < math.inf for s in std)):
             raise ScenarioError(f"mutation_std must be two finite numbers >= 0, got {std!r}")
         check_positive("stop_eps", self.stop_eps)
         for name in ("beta", "alpha"):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -130,6 +131,12 @@ class TrajectoryRecord:
     which backlogs were still draining (clamp not hit) on step t, and
     stage_costs (T,) holds the cost of state t+1. rollout reads the masks
     off the backlogs: active_masks[t] is backlogs[t+1] > 0.
+
+    recording is a weak reference to the policy.Workspace of the
+    PolicyController whose float tape this is, or None: the reverse sweep
+    reads the forward pass recorded there while this is still that
+    controller's latest tape (policy.recorded_pass). Copies made by pickle
+    or the copy module drop it.
     """
 
     positions: np.ndarray
@@ -139,6 +146,10 @@ class TrajectoryRecord:
     stage_costs: np.ndarray
     completion_step: list
     terminated_step: Optional[int]
+    recording: Optional[weakref.ref] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "recording": None}  # a weak reference does not pickle
 
     @property
     def steps(self) -> int:
@@ -319,9 +330,11 @@ def rollout(
     after t_max steps. A SequenceController's controls are known up
     front, so its tape is computed in one array pass (_replay); a
     PolicyController steps with the state in Python floats, the layers
-    and the rates' log2 in numpy (policy.policy_tape). Both give the step
-    loop's bits and exceptions. A PolicyController (or subclass) run on a
-    scenario other than its own or an equal copy raises ScenarioError.
+    and the rates' log2 in numpy (policy.policy_tape), recording its
+    forward pass for the reverse sweep (the record's recording). Both give
+    the step loop's bits and exceptions. A PolicyController (or subclass)
+    run on a scenario other than its own or an equal copy raises
+    ScenarioError.
     Every path's tape is (positions, backlogs, controls, terminated[, costs]);
     the clamp masks are the backlogs after each step > 0, as max(0, raw) > 0
     exactly when raw > 0 (a raw 0.0, -0.0 or NaN clamps to one that is not).
@@ -331,7 +344,7 @@ def rollout(
         raise ScenarioError(f"stop_eps must be a positive finite number, got {stop_eps!r}")
     threshold = stop_eps * scn.k
 
-    tape = None
+    tape = recording = None
     # a subclass may override __call__, so only the classes themselves take an array path
     if type(policy) is SequenceController:
         tape = _replay(policy.controls, scn, t_max, threshold)
@@ -342,6 +355,8 @@ def rollout(
             policy.check_scenario(scn)
             if type(policy) is PolicyController:
                 tape = policy_tape(policy, scn, t_max, threshold)
+                if tape is not None:
+                    recording = weakref.ref(policy.workspace)
     if tape is None:
         tape = _step_loop(policy, scn, t_max, threshold)
     # a replayed tape brings its stage costs; the others are scored here
@@ -358,6 +373,7 @@ def rollout(
         stage_costs=costs[0] if costs else stage_costs(positions[1:], backlogs[1:], scn),
         completion_step=[t if done else None for t, done in zip(first_zero, drained.any(axis=0))],
         terminated_step=terminated,
+        recording=recording,
     )
 
 
@@ -507,15 +523,27 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def as_float(value) -> float:
+    """float(value) of a real number, or an infinity of its sign when it is
+
+    too large for a float (an int, say, whose conversion would raise
+    OverflowError).
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_positive(name: str, value) -> None:
-    """Reject anything but a finite number > 0 (NaN fails the comparison)."""
-    if not (is_number(value) and 0.0 < value < math.inf):
+    """Reject anything but a number > 0 whose float is finite (NaN fails the comparison)."""
+    if not (is_number(value) and 0.0 < as_float(value) < math.inf):
         raise ScenarioError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def check_nonnegative(name: str, value) -> None:
-    """Reject anything but a finite number >= 0 (NaN fails the comparison)."""
-    if not (is_number(value) and 0.0 <= value < math.inf):
+    """Reject anything but a number >= 0 whose float is finite (NaN fails the comparison)."""
+    if not (is_number(value) and 0.0 <= as_float(value) < math.inf):
         raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -594,7 +622,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         value = data.get(name, *default)
         try:
             return convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"scenario field {name!r} has bad value {value!r}: {exc}") from None
 
     array = partial(np.asarray, dtype=np.float64)

@@ -49,7 +49,12 @@ def objective_value(
     params: PolicyParams, scn: Scenario, t_max: int, stop_eps: float, beta: float, alpha: float
 ) -> float:
     """The scalar the trainer descends, evaluated by a fresh rollout."""
-    traj = rollout(PolicyController(params, scn), scn, t_max, stop_eps)
+    return _rolled_objective(PolicyController(params, scn), scn, t_max, stop_eps, beta, alpha)
+
+
+def _rolled_objective(ctl: PolicyController, scn: Scenario, t_max: int, stop_eps: float, beta: float,
+                      alpha: float) -> float:
+    traj = rollout(ctl, scn, t_max, stop_eps)
     return traj.task_cost() + beta * smoothness_penalty(traj.controls, alpha)
 
 
@@ -69,12 +74,16 @@ def fd_param_gradient(
     """
     idx = np.arange(params.flat.size) if indices is None else np.asarray(indices, dtype=int)
     out = np.empty(idx.size)
+    # one controller rolls out every probe: its layers are views of probe.flat,
+    # which holds params but for the entry being probed
+    probe = replace(params, flat=params.flat.copy())
+    ctl = PolicyController(probe, scn)
     for j, i in enumerate(idx):
         for sign, slot in ((+1.0, 0), (-1.0, 1)):
-            flat = params.flat.copy()
-            flat[i] += sign * h
-            val = objective_value(replace(params, flat=flat), scn, t_max, stop_eps, beta, alpha)
+            probe.flat[i] = params.flat[i] + sign * h
+            val = _rolled_objective(ctl, scn, t_max, stop_eps, beta, alpha)
             out[j] = val if slot == 0 else (out[j] - val) / (2.0 * h)
+        probe.flat[i] = params.flat[i]
     return out
 
 

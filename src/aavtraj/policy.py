@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State, check_int, check_positive, clamp, move, rate_argument
+from .env import (Control, Scenario, ScenarioError, State, TrajectoryRecord, check_int, check_positive, clamp, move,
+                  rate_argument)
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -84,12 +86,16 @@ def init_params(seed: int, k: int, hidden: tuple = (64, 64, 32), v_max: float = 
 
 def unpack(params: PolicyParams) -> list:
     """Split the flat vector into [(W, b), ...] views, one per layer."""
+    return _layer_views(params.flat, params.spec)
+
+
+def _layer_views(flat: np.ndarray, spec: LayerSpec) -> list:
     layers = []
     off = 0
-    for din, dout in zip(params.spec.dims[:-1], params.spec.dims[1:]):
-        w = params.flat[off : off + din * dout].reshape(dout, din)
+    for din, dout in zip(spec.dims[:-1], spec.dims[1:]):
+        w = flat[off : off + din * dout].reshape(dout, din)
         off += din * dout
-        layers.append((w, params.flat[off : off + dout]))
+        layers.append((w, flat[off : off + dout]))
         off += dout
     return layers
 
@@ -205,42 +211,73 @@ def forward(params: PolicyParams, obs: np.ndarray) -> Control:
     return _control(activations(unpack(params), _check_obs(params, obs))[-1], params.v_max)
 
 
-def head_slopes(z: np.ndarray, v_max: float) -> np.ndarray:
+def head_slopes(z0: np.ndarray, v_max: float) -> np.ndarray:
     """The diagonal of d(v, theta) / d(z0, z1), (v_max * sigmoid'(z0), 1), of
 
-    every row of raw head outputs z (N, 2), as (N, 2).
+    N raw speed-head outputs z0 (N,), as (N, 2).
     """
-    sig = np.tanh(0.5 * z[:, 0])
+    sig = np.tanh(0.5 * z0)
     sig += 1.0
     sig *= 0.5
-    slopes = np.empty((z.shape[0], 2))
+    slopes = np.empty((z0.shape[0], 2))
     slopes[:, 1] = 1.0
     np.multiply(v_max * sig, 1.0 - sig, out=slopes[:, 0])
     return slopes
 
 
-def input_jacobians(layers: list, acts: list, slopes: np.ndarray) -> np.ndarray:
-    """d(v, theta) / d obs of each of N forward passes, (N, 2, in): the
+def derivative_factors(hidden: list, bufs: list) -> list:
+    """tanh's derivative 1 - a**2 at each hidden activation a (N, width) of
 
-    head rows scaled by slopes (N, 2) from head_slopes, pulled back
-    through the layers. acts is the batched activations(...) of the passes.
+    hidden, written into the arrays bufs (at least N rows each).
+    input_jacobians and pullback both take these factors.
     """
-    rows = slopes[:, :, None] * layers[-1][0]
-    for idx in range(len(layers) - 1, 0, -1):
-        rows *= (1.0 - acts[idx] ** 2)[:, None, :]
-        rows = rows @ layers[idx - 1][0]
-    return rows
+    ders = []
+    for a, buf in zip(hidden, bufs):
+        d = np.multiply(a, a, out=buf[: a.shape[0]])  # a**2 squares, so it rounds as a * a
+        ders.append(np.subtract(1.0, d, out=d))
+    return ders
+
+
+def input_jacobians(layers: list, ders: list, slopes: np.ndarray, obs_jac: np.ndarray,
+                    scratch: "SweepScratch") -> np.ndarray:
+    """d(v, theta) / d x of each of N forward passes, (N, 2, m), where obs_jac
+
+    (in, m) is d obs / d x: the head rows scaled by slopes (N, 2) from
+    head_slopes, pulled back through the layers with the derivative factors
+    ders from derivative_factors, then multiplied by obs_jac. Each pass's
+    rows are (2, width) matrix products of their own, so the passes run
+    JACOBIAN_CHUNK at a time through scratch's two halves, and the result
+    is a view of scratch.du_dx.
+    """
+    t_len = slopes.shape[0]
+    out = scratch.view(scratch.du_dx, (t_len, 2, obs_jac.shape[1]))
+    w_head = layers[-1][0]
+    for start in range(0, t_len, JACOBIAN_CHUNK):
+        part = slice(start, start + JACOBIAN_CHUNK)
+        s = slopes[part]
+        rows = np.multiply(s[:, :, None], w_head, out=scratch.view(scratch.halves[0], (s.shape[0], *w_head.shape)))
+        for idx in range(len(layers) - 1, 0, -1):
+            rows *= ders[idx - 1][part, None, :]
+            w = layers[idx - 1][0]
+            rows = np.matmul(rows, w, out=scratch.view(scratch.halves[(len(layers) - idx) % 2],
+                                                       (s.shape[0], 2, w.shape[1])))
+        np.matmul(rows, obs_jac, out=out[part])
+    return out
 
 
 def pullback(
-    layers: list, acts: list, delta: np.ndarray, *, inputs: bool = False
+    layers: list, acts: list, ders: list, delta: np.ndarray, scratch: "SweepScratch", *, inputs: bool = False
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Pull the cotangents delta (N, 2) of the raw head outputs of N forward
 
-    passes back through the layers; acts is the batched activations(...).
-    Returns the parameter gradient summed over the passes, laid out like
-    the flat parameter vector, and, when inputs is true, each pass's
-    observation cotangent (N, in), else None.
+    passes back through the layers; acts[i] holds the inputs of layer i over
+    the passes (activations(...) or the rows policy_tape recorded), ders
+    their derivative factors from derivative_factors, which it overwrites
+    with the cotangents of the hidden pre-activations. Each layer's delta
+    @ W goes to scratch.work. Returns the parameter gradient summed over
+    the passes, a new array laid out like the flat parameter vector, and,
+    when inputs is true, each pass's observation cotangent (N, in), a new
+    array, else None.
     """
     grad = np.empty(sum(w.size + b.size for w, b in layers))
     end = grad.size
@@ -249,10 +286,12 @@ def pullback(
         np.sum(delta, axis=0, out=grad[end - b.size : end])
         end -= b.size + w.size
         np.matmul(delta.T, acts[idx], out=grad[end : end + w.size].reshape(w.shape))
-        if idx > 0 or inputs:
-            delta = delta @ w
         if idx > 0:
-            delta *= 1.0 - acts[idx] ** 2
+            product = np.matmul(delta, w, out=scratch.view(scratch.work, (delta.shape[0], w.shape[1])))
+            # each factor is read once, so the product takes its place
+            delta = np.multiply(product, ders[idx - 1], out=ders[idx - 1])
+        elif inputs:
+            delta = delta @ w
     return grad, delta if inputs else None
 
 
@@ -265,15 +304,146 @@ def vjp(params: PolicyParams, obs: np.ndarray, upstream: np.ndarray) -> tuple[np
     upstream = np.asarray(upstream, dtype=np.float64).reshape(1, 2)
     layers = unpack(params)
     acts = activations(layers, _check_obs(params, obs)[None])
-    delta = head_slopes(acts[-1], params.v_max) * upstream
-    flat, obs_grad = pullback(layers, acts, delta, inputs=True)
+    delta = head_slopes(acts[-1][:, 0], params.v_max) * upstream
+    scratch = SweepScratch(params.spec, params.spec.k).fit(1)
+    ders = derivative_factors(acts[1:-1], scratch.ders)
+    flat, obs_grad = pullback(layers, acts, ders, delta, scratch, inputs=True)
     return flat, obs_grad[0]
+
+
+# ---------------------------------------------------------------------------
+# the arrays a controller holds for its run
+# ---------------------------------------------------------------------------
+
+FIRST_ROWS = 64  # forward-pass rows of a controller's first float tape; they double as its tapes need
+JACOBIAN_CHUNK = 128  # forward passes per round of input_jacobians' matrix products
+
+
+class SweepScratch:
+    """The arrays a reverse sweep of a tape of up to rows steps works in,
+
+    grown to the longest tape it is fitted to: ders, a (rows, width) array
+    per hidden layer for derivative_factors and then pullback; du_dx, the
+    flat storage of input_jacobians' result; work, one flat array, whose
+    two halves input_jacobians' chunks and then the adjoint recurrence's
+    matrices take, and whose whole pullback's products take after them.
+    """
+
+    def __init__(self, spec: LayerSpec, k: int):
+        self.spec, self.k, self.rows = spec, k, -1  # no arrays yet
+
+    def fit(self, rows: int) -> "SweepScratch":
+        if rows > self.rows:
+            spec, n = self.spec, 2 + self.k
+            width = max(spec.dims[:-1])
+            half = max(min(rows, JACOBIAN_CHUNK) * 2 * width, rows * n * n)
+            self.ders = [np.empty((rows, h)) for h in spec.hidden]
+            self.du_dx = np.empty(rows * 2 * n)
+            self.work = np.empty(max(2 * half, rows * width))
+            self.halves = (self.work[:half], self.work[half : 2 * half])
+            self.rows = rows
+        return self
+
+    @staticmethod
+    def view(buf: np.ndarray, shape: tuple) -> np.ndarray:
+        """The first entries of the flat array buf as a C-ordered array of shape."""
+        return buf[: math.prod(shape)].reshape(shape)
+
+
+class Workspace:
+    """What a PolicyController holds for its run and frees with it.
+
+    policy_tape records into it the forward pass of the controller's
+    latest float tape: flat, the parameter values it ran; rows, each
+    layer's inputs at every step (the observation, then each hidden
+    activation) as the rows of one array per layer, which double when a
+    tape outgrows them; z0, the raw speed-head outputs, as a list of
+    floats; and tape, that tape's (positions, backlogs, controls) arrays,
+    None while no recorded tape is current. recorded_pass hands it to the
+    reverse sweep, which reads the rows instead of recomputing them and
+    works in scratch, with the run's constant layers and observation
+    Jacobian.
+    """
+
+    def __init__(self, spec: LayerSpec, scn: Scenario):
+        self.spec, self.scn = spec, scn
+        self.flat = np.empty(spec.param_count())
+        self.rows: list = []
+        self.capacity = 0  # rows of each array in rows
+        self.z0: list = []
+        self.tape: Optional[tuple] = None
+        # made at the first sweep: the scratch, the layers as views of flat, the observation Jacobian
+        self.scratch: Optional[SweepScratch] = None
+        self.layers: Optional[list] = None
+        self.obs_jac: Optional[np.ndarray] = None
+
+    def step_rows(self, t_max: int):
+        """An iterator over the rows of steps 0, 1, ...: (observation row,
+
+        tuple of hidden rows), views of rows; when a step reaches their end
+        they double (up to t_max rows), keeping the rows before it.
+        """
+        if self.capacity >= t_max:
+            return self._rows_from(0)
+        return self._growing_rows(t_max)
+
+    def _rows_from(self, start: int):
+        obs, *hidden = (r[start:] for r in self.rows) if start else self.rows
+        return zip(obs, zip(*hidden) if hidden else repeat(()))
+
+    def _growing_rows(self, t_max: int):
+        start = 0
+        while True:
+            if start == self.capacity:
+                self.capacity = min(t_max, max(FIRST_ROWS, 2 * start))
+                grown = [np.empty((self.capacity, width)) for width in self.spec.dims[:-1]]
+                for new, old in zip(grown, self.rows):
+                    new[:start] = old[:start]
+                self.rows = grown
+            yield from self._rows_from(start)
+            start = self.capacity
+
+    def sweep_inputs(self, steps: int) -> tuple:
+        """(layers, acts, z0) of the recorded tape of steps steps, for the
+
+        reverse sweep: the layers as views of flat, each layer's input rows
+        and the raw speed-head outputs as a new array.
+        """
+        if self.scratch is None:
+            self.scratch = SweepScratch(self.spec, self.scn.k)
+            self.layers = _layer_views(self.flat, self.spec)
+            self.obs_jac = observation_jacobian(self.scn)
+        return self.layers, [r[:steps] for r in self.rows], np.array(self.z0)
+
+
+def recorded_pass(traj: TrajectoryRecord, params: PolicyParams, scn: Scenario) -> Optional[Workspace]:
+    """The Workspace whose rows hold traj's forward pass under params, or None.
+
+    It is traj's recording when traj's positions, backlogs and controls
+    are the arrays of the latest float tape of the controller that holds
+    it, scn is that controller's own scenario, and params has the spec
+    and, bit for bit, the flat vector the tape was rolled out with. Then
+    the rows are the batched activations of the tape's observations under
+    params, bit for bit. Any other tape (a replay, a step-loop tape, a
+    record built by hand, an earlier tape of the controller, other
+    parameters) gets None.
+    """
+    ws = None if traj.recording is None else traj.recording()
+    if ws is None or ws.tape is None:
+        return None
+    positions, backlogs, controls = ws.tape
+    if (traj.positions is positions and traj.backlogs is backlogs and traj.controls is controls
+            and scn is ws.scn and params.spec == ws.spec
+            and np.array_equal(params.flat.view(np.int64), ws.flat.view(np.int64))):
+        return ws
+    return None
 
 
 class PolicyController:
     """Adapter giving the rollout loop a (t, state) -> Control callable; unpacks
 
-    the layers once.
+    the layers once. Its workspace, made at its first float tape, holds the
+    forward pass of its latest tape and the reverse sweep's scratch.
     """
 
     def __init__(self, params: PolicyParams, scn: Scenario):
@@ -289,6 +459,7 @@ class PolicyController:
         self.scn = scn
         self.layers = unpack(params)
         self.float_observer = FloatObserver(scn)
+        self.workspace: Optional[Workspace] = None
 
     def __call__(self, t: int, x: State) -> Control:
         obs = observations(x.q, x.d, self.scn)
@@ -334,46 +505,56 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     below it (a sum of non-negative terms is at least each of them), so
     np.sum runs only when none does; a NaN fails the >= and falls
     through to it. The rows become arrays once, at the end.
+
+    The forward pass is recorded in ctl's Workspace as it runs: a copy of
+    the parameter values, each step's observation and hidden activations,
+    computed straight into the workspace's rows, and its raw speed-head
+    output. A tape that comes back becomes the workspace's current tape,
+    whose reverse sweep reads them (recorded_pass); a None leaves none.
     """
+    if ctl.workspace is None:
+        ctl.workspace = Workspace(ctl.params.spec, ctl.scn)
+    ws = ctl.workspace
+    ws.tape = None  # the rows below are overwritten
     layers = ctl.layers
-    k, n, v_max, tau = scn.k, ctl.params.spec.input_dim, ctl.params.v_max, scn.tau
+    k, v_max, tau = scn.k, ctl.params.v_max, scn.tau
     eta, sigma2, bk = scn.eta, scn.sigma2, scn.bandwidth / scn.k
     h2 = scn.altitude**2  # finite: Scenario rejects an altitude whose square overflows
     if not h2 * sigma2 > 0.0:
         return None  # a float eta / 0.0 raises where the loop's array gives inf
 
+    np.copyto(ws.flat, ctl.params.flat)
     observe = ctl.float_observer.observe
     *hidden, (w_head, b_head) = layers
     b0, b1 = b_head.tolist()
-    outs = [np.empty(b.shape) for _, b in hidden]
-    # one buffer: the observation, the K rate arguments (log2'd in place) and the head
-    buf = np.empty(n + k + 2)
-    inputs, first, logs, head, tail = buf[: n + k], buf[:n], buf[n : n + k], buf[n + k :], buf[n:]
+    # one buffer: the K rate arguments (log2'd in place) and the head
+    buf = np.empty(k + 2)
+    logs, head = buf[:k], buf[k:]
     q0 = q1 = 0.0
     d = scn.demands.tolist()
-    positions, backlogs, controls = [q0, q1], list(d), []
+    positions, backlogs, controls, z0s = [q0, q1], list(d), [], []
     witness = 0  # the index of a backlog >= threshold, when there is one
     terminated = None
 
     with np.errstate(all="ignore"):  # the loop re-runs a failing tape and warns as it goes
-        for t in range(t_max):
+        for t, (obs_row, outs) in zip(range(t_max), ws.step_rows(t_max)):
             if not d[witness] >= threshold:
                 witness = max(range(k), key=d.__getitem__)
                 if not d[witness] >= threshold and float(np.sum(d)) < threshold:
                     terminated = t
                     break
             obs, offsets = observe(q0, q1, d)
+            obs_row[:] = obs
             # the offsets' sign squares away
-            obs += [rate_argument(o0 * o0 + o1 * o1, eta, h2, sigma2) for o0, o1 in offsets]
-            inputs[:] = obs
-            a = first
+            logs[:] = [rate_argument(o0 * o0 + o1 * o1, eta, h2, sigma2) for o0, o1 in offsets]
+            a = obs_row
             for (w, b), out in zip(hidden, outs):
                 np.dot(w, a, out)
                 out += b
                 a = np.tanh(out, out=out)
             np.dot(w_head, a, head)
             np.log2(logs, out=logs)
-            *rates, z0, theta = tail.tolist()
+            *rates, z0, theta = buf.tolist()
             z0 += b0
             theta += b1
             v = v_max * _sigmoid(z0)
@@ -386,6 +567,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
             positions += (q0, q1)
             backlogs += d
             controls += (v, theta)
+            z0s.append(z0)
         else:
             if float(np.sum(d)) < threshold:
                 terminated = t_max
@@ -395,6 +577,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     # non-finite row it makes, and it makes every row of the tape
     if not (np.isfinite(positions).all() and np.isfinite(backlogs).all()):
         return None
+    ws.tape, ws.z0 = (positions, backlogs, controls), z0s
     return positions, backlogs, controls, terminated
 
 

@@ -8,10 +8,13 @@ against a per-step sweep kept here as an oracle, to within the rounding
 of summing the same per-step terms in another order.
 """
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aavtraj import (
     Control,
@@ -34,7 +37,9 @@ from aavtraj.adjoint import (
 )
 from aavtraj.baselines import SequenceController
 from aavtraj.env import initial_state, stage_cost, step
-from aavtraj.policy import PolicyController, _sigmoid, observation_jacobian, observe, unpack, vjp
+from aavtraj import policy
+from aavtraj.policy import (PolicyController, _sigmoid, activations, observation_jacobian, observations, observe,
+                            recorded_pass, unpack, vjp)
 from aavtraj.smoothing import smoothness_grads, smoothness_penalty
 from oracles import as_vector, hamiltonian, rate_gradients_at, step_and_mask
 
@@ -610,3 +615,92 @@ class TestTapeSweep:
         _, open_grads = backward_openloop(traj, scn)
         got = backward_closedloop(traj, params, scn, beta=0.0)
         assert_array_reordered(got.action_grads, open_grads, 1)
+
+
+class TestRecordedPass:
+    """The latest float tape of a live PolicyController is swept from the
+
+    forward pass policy_tape recorded in the controller's workspace, in
+    arrays the workspace holds; every other tape recomputes the pass. The
+    reference here is the recompute, on a record without the recording.
+    """
+
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 10),
+           hidden=st.sampled_from([(), (8,), (16, 12), (64, 64, 32)]), beta=st.sampled_from([0.0, 1.0]),
+           t_max=st.integers(1, 120), long=st.booleans(), first_rows=st.integers(1, 70))
+    @settings(max_examples=60, deadline=None)
+    def test_recorded_rows_and_bundle_equal_a_recompute(self, seed, k, hidden, beta, t_max, long, first_rows):
+        scn = generate_scenario(seed, k=k, demand_lo=20.0 if long else 0.5, demand_hi=40.0 if long else 1.0)
+        params = init_params(seed, k, hidden=hidden, v_max=scn.v_max)
+        ctl = PolicyController(params, scn)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policy, "FIRST_ROWS", first_rows)  # the rows grow within the tape
+            traj = rollout(ctl, scn, t_max, 1e-3)
+        ws = recorded_pass(traj, params, scn)
+        assert ws is ctl.workspace
+        _, acts, z0 = ws.sweep_inputs(traj.steps)
+        want = activations(unpack(params), observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+        assert len(acts) == len(want) - 1
+        for got_rows, want_rows in zip([*acts, z0], [*want[:-1], want[-1][:, 0]]):
+            assert got_rows.tobytes() == want_rows.tobytes()
+        got = backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3)
+        copy = replace(params, flat=params.flat.copy())
+        assert_bitwise(got, backward_closedloop(replace(traj, recording=None), copy, scn, beta=beta, alpha=1e-3))
+        # the sweep leaves the recording as it found it
+        assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), got)
+
+    def test_a_second_rollout_leaves_the_first_record_and_bundle_unchanged(self):
+        scn = generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0)
+        params = init_params(0, k=4, hidden=(16, 8), v_max=scn.v_max)
+        ctl = PolicyController(params, scn)
+        first = rollout(ctl, scn, 60, 1e-3)
+        bundle = backward_closedloop(first, params, scn, beta=1.0)
+        fields = ("positions", "backlogs", "controls", "active_masks", "stage_costs")
+        saved = [getattr(first, f).copy() for f in fields] + [bundle.action_grads.copy(), bundle.param_grad.copy()]
+        params.flat *= 1.01  # in place, as train's optimizer step
+        second = rollout(ctl, scn, 60, 1e-3)
+        later = backward_closedloop(second, params, scn, beta=1.0)
+        now = [getattr(first, f) for f in fields] + [bundle.action_grads, bundle.param_grad]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(saved, now))
+        assert recorded_pass(first, params, scn) is None and recorded_pass(second, params, scn) is ctl.workspace
+        ws = ctl.workspace
+        held = [ws.flat, *ws.rows, ws.scratch.work, ws.scratch.du_dx, *ws.scratch.ders]
+        handed = [getattr(second, f) for f in fields] + [later.action_grads, later.param_grad]
+        assert not any(np.shares_memory(a, h) for a in handed for h in held)
+        # the earlier tape is recomputed, under the values it was rolled out with
+        params.flat /= 1.01
+        with pytest.raises(ScenarioError, match="different params"):
+            backward_closedloop(first, replace(params, flat=params.flat * 1.01), scn)
+
+    def test_which_tapes_read_the_recording(self):
+        scn = smooth_scn(k=3, seed=36)
+        params = init_params(36, k=3, hidden=(8,))
+        ctl = PolicyController(params, scn)
+        traj = rollout(ctl, scn, 20, 1e-3)
+        ws = ctl.workspace
+        assert recorded_pass(traj, replace(params, flat=params.flat.copy()), scn) is ws  # equal bits
+        signed_zero = params.flat.copy()
+        signed_zero[-1] = -0.0  # equal in value to the heading bias 0.0, not in bits
+        others = [
+            (traj, replace(params, flat=signed_zero), scn),
+            (traj, params, replace(scn)),  # an equal copy of the controller's scenario
+            (replace(traj, controls=traj.controls.copy()), params, scn),
+            (rollout(SequenceController(traj.controls), scn, 20, 1e-3), params, scn),
+            (pickle.loads(pickle.dumps(traj)), params, scn),
+        ]
+        for other in others:
+            assert recorded_pass(*other) is None
+            assert_bitwise(backward_closedloop(*other), backward_closedloop(traj, params, scn))
+        # a step-loop tape leaves no current recording
+        with np.errstate(under="ignore"):
+            tiny = replace(scn, altitude=1e-160, sigma2=1e-160)
+            assert rollout(PolicyController(params, tiny), tiny, 5, 1e-3).recording is None
+
+        class Subclass(PolicyController):
+            pass
+
+        assert rollout(Subclass(params, scn), scn, 5, 1e-3).recording is None
+        params.flat[-1] += 1e-9  # in place, after the rollout
+        assert recorded_pass(traj, params, scn) is None
+        with pytest.raises(ScenarioError, match="different params"):
+            backward_closedloop(traj, params, scn)

@@ -77,3 +77,36 @@ def test_step_loop_digests_repeat_and_catch_a_flipped_mask(monkeypatch):
     masks = {name for name in first if name.endswith(".active_masks")}
     # every tape's masks, on the step loop and on both array paths of the exact-zero cases
     assert masks <= got and len(masks) == 2 * 2 * len(bitcheck.KS) + 3 * 5
+
+
+def test_training_digests_hold_when_every_sweep_recomputes_its_forward_pass(monkeypatch):
+    import aavtraj.adjoint as adjoint
+
+    real, read = adjoint.recorded_pass, []
+
+    def spy(*args):
+        ws = real(*args)
+        read.append(ws is not None)
+        return ws
+
+    monkeypatch.setattr(adjoint, "recorded_pass", spy)
+    first = digests_of(bitcheck.training_outputs())
+    assert any(read) and not all(read)  # the underflow run's step-loop tapes recompute
+    monkeypatch.setattr(adjoint, "recorded_pass", lambda *args: None)
+    assert digests_of(bitcheck.training_outputs()) == first
+
+
+def test_training_digests_catch_a_nudged_gradient(monkeypatch):
+    import aavtraj.trainer as trainer
+
+    first = digests_of(bitcheck.training_outputs())
+    real = trainer.backward_closedloop
+
+    def nudged(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        bundle.param_grad[0] += 1e-3  # the clip and Adam's scaling would absorb a last-bit change
+        return bundle
+
+    monkeypatch.setattr(trainer, "backward_closedloop", nudged)
+    got = bitcheck.moved(first, digests_of(bitcheck.training_outputs()))
+    assert {name for name in first if name.endswith(".params")} <= set(got)

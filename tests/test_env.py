@@ -26,14 +26,19 @@ from aavtraj import (
 )
 from aavtraj import (
     ConstantController,
+    GaConfig,
+    GreedyConfig,
     GreedyController,
     PolicyController,
     SweepSpec,
     TrainConfig,
     env,
+    ga_optimize,
     init_params,
     policy,
     run_gradcheck,
+    run_sweep,
+    train,
 )
 from aavtraj.baselines import OPEN_LOOP_SEGMENT
 from aavtraj.env import (
@@ -658,8 +663,9 @@ class TestPolicyTape:
         assert rollout(controller(scn), scn, 500, 1e-3).steps > 20
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 16])
-    def test_buffers_grow_past_their_first_rows(self, rows):
+    def test_buffers_grow_past_their_first_rows(self, rows, monkeypatch):
         # horizons of 1, rows, rows + 1, 2 rows + 1 and 60 steps, each against the loop
+        monkeypatch.setattr(policy, "FIRST_ROWS", rows)
         scn = long_preset()
         for t_max in (1, rows, rows + 1, 2 * rows + 1, 60):
             fast, stepped_tape = array_and_loop(controller(scn), scn, t_max)
@@ -1007,3 +1013,33 @@ class TestScenario:
 def test_bad_counts_and_bounds_raise_a_scenario_error_naming_the_field(field, make):
     with pytest.raises(ScenarioError, match=f"^{field} must be"):
         make()
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ScenarioError) as exc:
+        call()
+    return str(exc.value)
+
+
+HUGE = 10**400  # an int too large for a float: float(HUGE) raises OverflowError
+
+
+@pytest.mark.parametrize("field, message", [
+    ("eta", lambda: _refusal(lambda: generate_scenario(0, eta=HUGE))),
+    ("area_side", lambda: _refusal(lambda: generate_scenario(0, area_side=-HUGE))),
+    ("demand_hi", lambda: _refusal(lambda: generate_scenario(0, demand_hi=HUGE))),
+    ("area_side", lambda: _refusal(
+        lambda: scenario_from_dict({**scenario_to_dict(generate_scenario(0)), "area_side": HUGE}))),
+    ("users", lambda: _refusal(
+        lambda: scenario_from_dict({**scenario_to_dict(generate_scenario(0)), "users": [[HUGE, 0.0]]}))),
+    ("speed_grid", lambda: _refusal(lambda: GreedyConfig(speed_grid=(HUGE,)))),
+    ("learning_rate", lambda: _refusal(lambda: train(generate_scenario(0), TrainConfig(learning_rate=HUGE)))),
+    ("early_stop_delta", lambda: _refusal(lambda: TrainConfig(early_stop_delta=HUGE))),
+    ("stop_eps", lambda: _refusal(lambda: ga_optimize(generate_scenario(0), GaConfig(stop_eps=HUGE)))),
+    ("mutation_std", lambda: _refusal(lambda: GaConfig(mutation_std=(HUGE, 0.3)))),
+    # the sweep checks its overrides up front, so no cell runs
+    ("learning_rate", lambda: _refusal(lambda: run_sweep(SweepSpec(variable="K", values=[2], trials=1,
+                                                                   train={"learning_rate": HUGE})))),
+])
+def test_a_number_too_large_for_a_float_raises_a_scenario_error_naming_the_field(field, message):
+    assert field in message()

@@ -253,10 +253,21 @@ class TestTrainLoop:
         (generate_scenario(3, k=2), TrainConfig(seed=3, clip_threshold=1e-3, max_iters=10, early_stop_delta=0.0)),
         (generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0),
          TrainConfig(seed=0, max_iters=3, early_stop_delta=0.0)),
+        (generate_scenario(4, k=10), TrainConfig(seed=4, max_iters=12)),
+        (generate_scenario(5, k=3, demand_lo=20.0, demand_hi=40.0),
+         TrainConfig(seed=5, hidden=(), max_iters=6, early_stop_delta=0.0)),
+        # every user drains within one slot, so each mission ends at step 1
+        (generate_scenario(6, k=3, demand_lo=0.01, demand_hi=0.02), TrainConfig(seed=6, max_iters=8)),
+        (generate_scenario(7, k=4, demand_lo=20.0, demand_hi=40.0),
+         TrainConfig(seed=7, t_max=7, max_iters=6, early_stop_delta=0.0)),
+        # (d2 + H^2) * sigma2 underflows the float tape, so every rollout takes the step loop
+        (generate_scenario(0, k=2, altitude=1e-160, sigma2=1e-160), TrainConfig(seed=8, max_iters=4)),
     ])
     def test_matches_a_reference_loop(self, scn, cfg):
         # the reference builds a controller and a parameter vector per
-        # iteration, as train did before it kept one controller per run
+        # iteration, as train did before it kept one controller per run;
+        # its controller is gone by the sweep, which then recomputes the
+        # forward pass that train's sweep reads off its controller
         params = init_params(cfg.seed, scn.k, hidden=cfg.hidden, v_max=scn.v_max)
         opt = init_opt_state(cfg.optimizer, params.flat.size)
         want = []

@@ -22,8 +22,10 @@ only one side has. It exits 1 if any did, 0 otherwise.
   user whose rate rounds to zero), on every rollout path: a hovering
   policy's float tape, a replay, and the step loop of greedy, a hover
   and a PolicyController subclass;
-- a 5-iteration training log on the long preset without its wall-clock
-  columns, and the trained parameters;
+- training logs without their wall-clock columns, and the trained
+  parameters: 5 iterations on the long preset at K=4 and K=10, a run to
+  early stop on the default preset for each K in KS, and a run whose
+  float tape underflows, so it trains on step-loop tapes;
 - a 3-generation GA log and best plan on each preset, on GA_LONG's
   long-preset cases and on the mid preset (demands 4-8). Every member
   whose mission is not over after its first segment runs in the
@@ -193,15 +195,38 @@ def step_loop_outputs() -> dict:
     return out
 
 
-def training_outputs() -> dict:
-    from aavtraj import TrainConfig, generate_scenario, train
+def training_cases():
+    """(tag, scenario, TrainConfig) of the training runs: 5 iterations on the
+
+    long preset at K=4 and K=10, then a run to early stop on the default
+    preset for each K in KS, whose sweeps read the forward pass the run's
+    controller recorded, and one whose rates' (d2 + H^2) * sigma2
+    underflows, so every rollout falls back to the step loop and every
+    sweep recomputes the pass.
+    """
+    from aavtraj import TrainConfig, generate_scenario
 
     lo, hi = PRESETS["long"]
-    params, log = train(generate_scenario(0, k=4, demand_lo=lo, demand_hi=hi),
-                        TrainConfig(max_iters=5, early_stop_delta=0.0, seed=0))
-    rows = [{k: v for k, v in asdict(r).items() if k not in TRAIN_TIMING} for r in log.rows]
-    return {"train.log": rows, "train.stop": (log.converged, log.stop_reason, log.learning_rate),
-            "train.params": params.flat}
+    for k in (4, 10):
+        yield ("train" if k == 4 else f"train.long.k{k}", generate_scenario(0, k=k, demand_lo=lo, demand_hi=hi),
+               TrainConfig(max_iters=5, early_stop_delta=0.0, seed=0))
+    lo, hi = PRESETS["default"]
+    for k in KS:
+        yield f"train.default.k{k}", generate_scenario(300 + k, k=k, demand_lo=lo, demand_hi=hi), TrainConfig(seed=k)
+    yield ("train.underflow.k2", generate_scenario(0, k=2, altitude=1e-160, sigma2=1e-160),
+           TrainConfig(max_iters=5, seed=0))
+
+
+def training_outputs() -> dict:
+    from aavtraj import train
+
+    out = {}
+    for tag, scn, cfg in training_cases():
+        params, log = train(scn, cfg)
+        out[f"{tag}.log"] = [{k: v for k, v in asdict(r).items() if k not in TRAIN_TIMING} for r in log.rows]
+        out[f"{tag}.stop"] = (log.converged, log.stop_reason, log.learning_rate)
+        out[f"{tag}.params"] = params.flat
+    return out
 
 
 # long-preset GA runs past the first segment: (tag, K, chromosome_length).
