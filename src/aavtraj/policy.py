@@ -458,6 +458,7 @@ class PolicyController:
         self.params = params
         self.scn = scn
         self.layers = unpack(params)
+        self.flat = params.flat  # the array the layers are views of
         self.float_observer = FloatObserver(scn)
         self.workspace: Optional[Workspace] = None
 
@@ -523,7 +524,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     if not h2 * sigma2 > 0.0:
         return None  # a float eta / 0.0 raises where the loop's array gives inf
 
-    np.copyto(ws.flat, ctl.params.flat)
+    np.copyto(ws.flat, ctl.flat)  # the values the layers hold, even if params.flat was rebound since
     observe = ctl.float_observer.observe
     *hidden, (w_head, b_head) = layers
     b0, b1 = b_head.tolist()

@@ -704,3 +704,12 @@ class TestRecordedPass:
         assert recorded_pass(traj, params, scn) is None
         with pytest.raises(ScenarioError, match="different params"):
             backward_closedloop(traj, params, scn)
+        # a flat vector rebound after the controller was built: its layers still
+        # view the old one, and the rollout runs them
+        rebound = init_params(37, k=3, hidden=(8,))
+        ctl = PolicyController(rebound, scn)
+        rebound.flat = rebound.flat * 2.0
+        traj = rollout(ctl, scn, 20, 1e-3)
+        assert recorded_pass(traj, rebound, scn) is None
+        with pytest.raises(ScenarioError, match="different params"):
+            backward_closedloop(traj, rebound, scn)
