@@ -208,15 +208,10 @@ def rate_argument(d2, eta: float, h2: float, sigma2: float):
     """1 + snr at the squared horizontal distances d2, a float or an array:
 
     eta / ((d2 + h2) * sigma2) + 1.0 with h2 = H^2. Its log2 times B/K is
-    the rate; the batched rates and the closed-loop tape's per-user floats
-    both take it from here, so they round alike.
+    the rate. The closed-loop tape's float loop (policy.policy_tape) writes
+    the same expression inline, per user, and rounds alike.
     """
     return eta / ((d2 + h2) * sigma2) + 1.0
-
-
-def clamp(x: float) -> float:
-    """max(0, x) of a float as np.maximum(0.0, x) rounds it: -0.0 and NaN pass through."""
-    return 0.0 if x < 0.0 else x
 
 
 def rate_gradients_of_offsets(diff: np.ndarray, d2: np.ndarray, scn: Scenario) -> np.ndarray:

@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import (Control, Scenario, ScenarioError, State, TrajectoryRecord, check_int, check_positive, clamp, move,
-                  rate_argument)
+from .env import Control, Scenario, ScenarioError, State, TrajectoryRecord, check_int, check_positive, move
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -103,33 +102,6 @@ def _layer_views(flat: np.ndarray, spec: LayerSpec) -> list:
 # ---------------------------------------------------------------------------
 # observation map
 # ---------------------------------------------------------------------------
-
-
-class FloatObserver:
-    """The observation of one state held in Python floats, laid out as
-
-    observations' and rounded alike: float arithmetic is the IEEE
-    arithmetic numpy runs element by element.
-    """
-
-    def __init__(self, scn: Scenario):
-        self.s = 2.0 / scn.area_side
-        self.users = [tuple(w) for w in scn.user_positions.tolist()]
-        self.demands = scn.demands.tolist()
-
-    def observe(self, q0: float, q1: float, backlogs: list) -> tuple[list, list]:
-        """The observation at position (q0, q1) and the K backlogs, as a list
-
-        of 2 + 3K floats, and the unscaled offsets w_i - q as K pairs.
-        """
-        s = self.s
-        obs, offsets = [q0 * s, q1 * s], []
-        for w0, w1 in self.users:
-            o0, o1 = w0 - q0, w1 - q1
-            obs += (o0 * s, o1 * s)
-            offsets.append((o0, o1))
-        obs += [x / m if m > 0.0 else 0.0 for x, m in zip(backlogs, self.demands)]
-        return obs, offsets
 
 
 def observations(positions: np.ndarray, backlogs: np.ndarray, scn: Scenario) -> np.ndarray:
@@ -459,7 +431,9 @@ class PolicyController:
         self.scn = scn
         self.layers = unpack(params)
         self.flat = params.flat  # the array the layers are views of
-        self.float_observer = FloatObserver(scn)
+        # what policy_tape observes, in floats: the scale 2/area_side and (w0, w1, demand) per user
+        self.scale = 2.0 / scn.area_side
+        self.users = [(w0, w1, m) for (w0, w1), m in zip(scn.user_positions.tolist(), scn.demands.tolist())]
         self.workspace: Optional[Workspace] = None
 
     def __call__(self, t: int, x: State) -> Control:
@@ -495,13 +469,19 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     terminated): rollout reads the clamp masks off the backlogs.
 
     Each step repeats the per-step loop's arithmetic, in its order, one
-    float at a time (FloatObserver, env.rate_argument, env.clamp,
-    env.move). The controller observes its own scenario's users and
-    demands and the vehicle starts from scn's; the users only enter the
-    rates squared, so an equal copy's zeros of either sign drain alike.
-    What float arithmetic would round differently stays in numpy: each
-    hidden layer is np.dot(w, a, out) plus the bias, which rounds like
-    w @ a + b, then np.tanh; one np.log2 takes the K rate arguments.
+    float at a time, in one pass over the K users: it builds the
+    observation, laid out and rounded as observations lays it out, and
+    the K rate arguments eta / ((d2 + H^2) * sigma2) + 1.0 of
+    env.rate_argument, d2 = o0 * o0 + o1 * o1 of the offsets (o0, o1)
+    = w_i - q, whose sign squares away. The drained backlogs are clamped
+    as np.maximum(0.0, x) rounds them (0.0 if x < 0.0 else x: -0.0 and
+    NaN pass through) and the vehicle moves by env.move. The controller
+    observes its own scenario's users and demands and the vehicle starts
+    from scn's; the users only enter the rates squared, so an equal
+    copy's zeros of either sign drain alike. What float arithmetic would
+    round differently stays in numpy: each hidden layer is w.dot(a, out),
+    np.dot's routine without its dispatcher, which rounds like w @ a,
+    plus the bias, then np.tanh; one np.log2 takes the K rate arguments.
     While one backlog reaches the threshold the backlog sum cannot be
     below it (a sum of non-negative terms is at least each of them), so
     np.sum runs only when none does; a NaN fails the >= and falls
@@ -525,7 +505,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
         return None  # a float eta / 0.0 raises where the loop's array gives inf
 
     np.copyto(ws.flat, ctl.flat)  # the values the layers hold, even if params.flat was rebound since
-    observe = ctl.float_observer.observe
+    s, users = ctl.scale, ctl.users
     *hidden, (w_head, b_head) = layers
     b0, b1 = b_head.tolist()
     # one buffer: the K rate arguments (log2'd in place) and the head
@@ -544,24 +524,29 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
                 if not d[witness] >= threshold and float(np.sum(d)) < threshold:
                     terminated = t
                     break
-            obs, offsets = observe(q0, q1, d)
-            obs_row[:] = obs
-            # the offsets' sign squares away
-            logs[:] = [rate_argument(o0 * o0 + o1 * o1, eta, h2, sigma2) for o0, o1 in offsets]
+            obs, fractions, args = [q0 * s, q1 * s], [], []
+            for (w0, w1, m), backlog in zip(users, d):
+                o0 = w0 - q0
+                o1 = w1 - q1
+                obs += (o0 * s, o1 * s)
+                fractions.append(backlog / m if m > 0.0 else 0.0)
+                args.append(eta / ((o0 * o0 + o1 * o1 + h2) * sigma2) + 1.0)
+            obs_row[:] = obs + fractions
+            logs[:] = args
             a = obs_row
             for (w, b), out in zip(hidden, outs):
-                np.dot(w, a, out)
+                w.dot(a, out)
                 out += b
-                a = np.tanh(out, out=out)
-            np.dot(w_head, a, head)
-            np.log2(logs, out=logs)
+                a = np.tanh(out, out)
+            w_head.dot(a, head)
+            np.log2(logs, logs)
             *rates, z0, theta = buf.tolist()
             z0 += b0
             theta += b1
             v = v_max * _sigmoid(z0)
             if not (0.0 <= v <= v_max and math.isfinite(theta)):
                 return None  # math.cos(inf) would raise
-            d = [clamp(x - rate * bk * tau) for x, rate in zip(d, rates)]
+            d = [0.0 if (x := y - rate * bk * tau) < 0.0 else x for y, rate in zip(d, rates)]
             dq0, dq1 = move(v, theta, tau)
             q0 += dq0
             q1 += dq1

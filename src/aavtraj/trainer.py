@@ -9,6 +9,7 @@ scratch at half the learning rate before the run is declared failed.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import astuple, dataclass, field
 from typing import Optional
@@ -98,9 +99,15 @@ def clip_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     """Rescale to norm <= threshold without changing direction."""
     check_positive("clip_threshold", threshold)
     grad = np.asarray(grad, dtype=np.float64)
-    norm = float(np.linalg.norm(grad))
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is handled below
+        norm = float(np.linalg.norm(grad))
     if norm <= threshold or norm == 0.0:
         return grad.copy()
+    if norm == math.inf and np.isfinite(grad).all():
+        # the sum of squares overflowed: grad over its largest magnitude has
+        # grad's direction and a norm between 1 and sqrt(size)
+        grad = grad / np.abs(grad).max()
+        norm = float(np.linalg.norm(grad))
     # threshold / norm can round so the rescaled norm lands an ulp above
     # the threshold; step the scale down until the bound holds exactly
     scale = threshold / norm
@@ -179,10 +186,12 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
             t1 = time.perf_counter()
             bundle = backward_closedloop(traj, params, scn, beta=cfg.beta, alpha=cfg.alpha)
             t2 = time.perf_counter()
-            pre = float(np.linalg.norm(bundle.param_grad))
-            clipped = clip_gradient(bundle.param_grad, cfg.clip_threshold)
-            post = float(np.linalg.norm(clipped))
-            new_flat, opt = optimizer_step(params.flat, clipped, opt, lr)
+            grad = bundle.param_grad
+            pre = post = float(np.linalg.norm(grad))
+            if not pre <= cfg.clip_threshold:  # a NaN norm goes to the clip too
+                grad = clip_gradient(grad, cfg.clip_threshold)
+                post = float(np.linalg.norm(grad))
+            new_flat, opt = optimizer_step(params.flat, grad, opt, lr)
             params.flat[...] = new_flat
         except NumericFailure as exc:
             exc.log = log  # partial log for diagnostics

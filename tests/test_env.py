@@ -3,6 +3,7 @@
 Expected values are hand derivations of the closed-form expressions,
 not captured outputs of the code under test.
 """
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -526,6 +527,14 @@ class TestReplay:
         controls[:] = 0.0
         assert np.all(traj.controls == 0.1)
 
+    def test_k20_long_preset_equals_step_loop_bytes(self):
+        # the hypothesis cases draw K 1-10; the one-pass loop's widest benchmarked K
+        scn = generate_scenario(0, k=20, demand_lo=20.0, demand_hi=40.0)
+        ctl = controller(scn)
+        fast, stepped_tape = array_and_loop(ctl, scn, 500)
+        assert fast == stepped_tape and fast[2] is None
+        assert policy.policy_tape(ctl, scn, 500, 1e-3 * scn.k) is not None
+
     def test_does_not_step(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("step() called")
@@ -751,8 +760,13 @@ class TestPolicyTape:
         assert policy.policy_tape(ctl, scn, 40, 1e-3 * scn.k) is not None
 
     def test_clamp_is_np_maximum(self):
-        xs = [-0.0, 0.0, math.nan, -1.0, 2.0]
-        assert np.array([env.clamp(x) for x in xs]).tobytes() == np.maximum(0.0, np.array(xs)).tobytes()
+        # the float loop clamps each drained backlog with this expression, and the step loop
+        # with np.maximum(0.0, raw): -0.0 and NaN pass through, negatives go to 0.0
+        form = "0.0 if (x := y - rate * bk * tau) < 0.0 else x"
+        assert form in inspect.getsource(policy.policy_tape)
+        xs = [-0.0, 0.0, math.nan, -1.0, -math.inf, -5e-324, 2.0]
+        got = [0.0 if (x := y - 0.0) < 0.0 else x for y in xs]
+        assert np.array(got).tobytes() == np.maximum(0.0, np.array(xs)).tobytes()
 
     def test_witness_user_drains_first(self):
         # user 0, the first backlog over the threshold, drains in two slots of the hover;

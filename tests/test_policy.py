@@ -1,6 +1,7 @@
 """Policy network: layout, init, observation encoding, forward, manual VJP."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from aavtraj import (
     PolicyController,
     ScenarioError,
     State,
+    env,
     generate_scenario,
     init_params,
     load_checkpoint,
     rollout,
     save_checkpoint,
 )
+from aavtraj import policy
 from aavtraj.policy import (
-    FloatObserver,
     LayerSpec,
     activations,
     forward,
@@ -28,6 +30,20 @@ from aavtraj.policy import (
     unpack,
     vjp,
 )
+
+
+class Log2Spy:
+    """numpy, but np.log2 keeps a copy of each array it is given."""
+
+    def __init__(self):
+        self.args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log2(self, x, *args, **kwargs):
+        self.args.append(np.array(x))
+        return np.log2(x, *args, **kwargs)
 
 
 class TestLayout:
@@ -91,20 +107,28 @@ class TestObserve:
         assert obs[2 + 2 * scn.k] == 0.0
         assert obs[2 + 2 * scn.k + 1] == 0.5
 
-    @given(seed=st.integers(0, 2**16), k=st.integers(1, 10), zeros=st.integers(0, 2**10 - 1))
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 20), zeros=st.integers(0, 2**20 - 1),
+           long=st.booleans(), scale=st.sampled_from([0.3, 1.0, 3.0]))
     @settings(max_examples=100, deadline=None)
-    def test_float_observer_matches_observations_bytes(self, seed, k, zeros):
-        # zeros picks users of zero demand (alternately 0.0 and -0.0), whose fractions stay 0
-        scn = generate_scenario(seed, k=k, area_side=7.0, demand_lo=0.5, demand_hi=40.0)
+    def test_one_pass_matches_observations_and_rate_arguments_bytes(self, seed, k, zeros, long, scale):
+        # policy_tape's pass over the users builds each step's observation, recorded in the
+        # workspace's rows, and the K rate arguments it hands np.log2; zeros picks users of zero
+        # demand (alternately 0.0 and -0.0), whose fractions stay 0
+        scn = generate_scenario(seed, k=k, area_side=7.0, demand_lo=20.0 if long else 0.5,
+                                demand_hi=40.0 if long else 1.0)
         zero = [(zeros >> i) & 1 for i in range(k)]
         demands = [(0.0 if i % 2 else -0.0) if z else dem for i, (z, dem) in enumerate(zip(zero, scn.demands))]
         scn = replace(scn, demands=np.array(demands))
-        rng = np.random.default_rng(seed)
-        q = rng.uniform(-5.0, 5.0, size=2)
-        d = np.where(zero, rng.choice([0.0, -0.0, 1.5], size=k), rng.uniform(0.0, 40.0, size=k))
-        obs, offsets = FloatObserver(scn).observe(*q.tolist(), d.tolist())
-        assert np.array(obs).tobytes() == observations(q, d, scn).tobytes()
-        assert np.array(offsets).tobytes() == (scn.user_positions - q).tobytes()
+        params = init_params(seed, k, hidden=(8,))
+        ctl = PolicyController(replace(params, flat=params.flat * scale), scn)
+        spy = Log2Spy()
+        with mock.patch.object(policy, "np", spy):
+            traj = rollout(ctl, scn, 40, 1e-3)
+        assert traj.recording is not None  # the float loop ran, not the step loop
+        q, d = traj.positions[:-1], traj.backlogs[:-1]
+        assert ctl.workspace.rows[0][: traj.steps].tobytes() == observations(q, d, scn).tobytes()
+        want = env.rate_argument(env.squared_distances(q, scn), scn.eta, scn.altitude**2, scn.sigma2)
+        assert np.array(spy.args).reshape(-1, k).tobytes() == want.tobytes()
 
     def test_jacobian_matches_fd(self):
         scn = generate_scenario(4, k=3)

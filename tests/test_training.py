@@ -1,6 +1,7 @@
 """Smoothness penalty, clipping, optimizer steps, and the training loop."""
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,24 @@ class TestClip:
     def test_rejects_a_threshold_that_is_not_positive_and_finite(self, threshold):
         with pytest.raises(ScenarioError, match="clip_threshold must be a positive finite number"):
             clip_gradient(np.array([3.0, 4.0]), threshold)
+
+    @pytest.mark.parametrize("g", [[1e200, -3e200, 2.0], [1e308] * 4, [1.7e308, -1.7e308, 1e-300]])
+    def test_overflowing_norm_keeps_the_direction(self, g):
+        # every entry is finite but the sum of squares overflows: threshold / inf would zero it
+        g = np.array(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped = clip_gradient(g, 10.0)
+        unit = g / np.abs(g).max()
+        assert 9.99 < np.linalg.norm(clipped) <= 10.0
+        assert np.allclose(clipped, unit * (10.0 / np.linalg.norm(unit)), rtol=1e-14, atol=0.0)
+        assert np.array_equal(np.sign(clipped), np.sign(unit))
+
+    def test_a_non_finite_entry_still_gives_a_non_finite_gradient(self):
+        # the optimizer step then raises NumericFailure, as before
+        with np.errstate(invalid="ignore"):
+            clipped = clip_gradient(np.array([math.inf, 1.0]), 10.0)
+        assert not np.isfinite(clipped).all()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
            st.floats(0.1, 100.0))
@@ -284,6 +303,22 @@ class TestTrainLoop:
         assert got_params.flat.tobytes() == params.flat.tobytes()
         if cfg.clip_threshold < 1.0:
             assert any(r.grad_norm_pre > cfg.clip_threshold for r in log.rows)  # the clip rescaled
+
+    @pytest.mark.parametrize("clip_threshold, clips", [(10.0, False), (1e-3, True)])
+    def test_only_a_clipped_iteration_calls_clip_gradient(self, clip_threshold, clips, monkeypatch):
+        # an unclipped iteration steps with the sweep's gradient and logs its norm twice
+        calls = []
+
+        def counted(grad, threshold):
+            calls.append(threshold)
+            return clip_gradient(grad, threshold)
+
+        monkeypatch.setattr(trainer_mod, "clip_gradient", counted)
+        _, log = train(generate_scenario(3, k=2), TrainConfig(seed=3, clip_threshold=clip_threshold, max_iters=10))
+        assert len(calls) == (log.iterations if clips else 0)
+        for r in log.rows:
+            assert (r.grad_norm_pre > clip_threshold) is clips
+            assert (r.grad_norm_post == r.grad_norm_pre) is not clips
 
     def test_early_stop_fires_correctly(self):
         scn = generate_scenario(0)

@@ -1,0 +1,161 @@
+"""Per-step and per-phase costs of the closed-loop training iteration.
+
+    python3 tools/step_cost.py [--against REV] [--budget SECONDS] [--rounds N]
+
+Three figures of the aavtraj under test:
+- rollout K=k: the closed-loop rollout's us per step at K = 4, 10 and 20
+  on the long preset (generate_scenario(0, k=K, demand_lo=20,
+  demand_hi=40), init_params of seed 0, T=500), the median over repeated
+  rollouts of one controller after a first, untimed one;
+- long: the medians of a T=500 training iteration's rollout, backward and
+  optimizer phases and of the whole iteration, read off the TrainingLog
+  rows of 5-iteration runs on the long preset at K=4 (train-long's call:
+  TrainConfig(seed=0, max_iters=5, early_stop_delta=0)), in ms;
+- short: the same medians over acceptance check 6's five default-preset
+  K=4 missions (2-4 steps), each trained to early stop with check 6's
+  seeds, in us.
+
+Each round is a fresh process with OPENBLAS_NUM_THREADS=1 that imports
+the tree's src/ and spends about BUDGET seconds (default 4) on the three
+figures, at least one rollout or run each. Without --against it runs the
+working tree. With --against REV it also extracts REV with `git archive`
+(as tools/bench_pairs.py does) and alternates the two sides, the parent
+first in even rounds. It prints each figure's median over the rounds of
+each side, the change relative to the parent and the rounds the change
+was faster in. `--json` measures the aavtraj on the import path in this
+process and prints the figures as JSON (the per-round step). Standard
+library, numpy and the package only.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KS = (4, 10, 20)
+T_MAX = 500
+PHASES = {"rollout_ms": "rollout", "backward_ms": "backward", "opt_ms": "opt", "ms": "iteration"}
+
+
+def long_preset(k: int):
+    from aavtraj import generate_scenario
+
+    return generate_scenario(0, k=k, demand_lo=20.0, demand_hi=40.0)
+
+
+def rollout_us_per_step(k: int, seconds: float) -> float:
+    from aavtraj import PolicyController, init_params, rollout
+
+    scn = long_preset(k)
+    ctl = PolicyController(init_params(0, k=k, v_max=scn.v_max), scn)
+    rollout(ctl, scn, T_MAX, 1e-3)  # the first tape also builds the controller's workspace
+    per_step = []
+    deadline = time.perf_counter() + seconds
+    while not per_step or time.perf_counter() < deadline:
+        t0 = time.perf_counter()
+        traj = rollout(ctl, scn, T_MAX, 1e-3)
+        per_step.append((time.perf_counter() - t0) / traj.steps * 1e6)
+    return statistics.median(per_step)
+
+
+def phase_medians(runs: list, seconds: float, scale: float) -> dict:
+    """The median of each of PHASES over the TrainingLog rows of train on
+
+    each (scenario, config) of runs, the runs repeated in turn until
+    seconds have passed, times scale.
+    """
+    from aavtraj import train
+
+    rows = []
+    deadline = time.perf_counter() + seconds
+    while not rows or time.perf_counter() < deadline:
+        for scn, cfg in runs:
+            rows += train(scn, cfg)[1].rows
+    return {name: statistics.median(getattr(r, name) for r in rows) * scale for name in PHASES}
+
+
+def measure(budget: float) -> dict:
+    """The figures of the aavtraj on the import path, in this process."""
+    import aavtraj
+    from aavtraj import TrainConfig, derive_seed, generate_scenario
+
+    share = budget / (len(KS) + 2)
+    long_runs = [(long_preset(4), TrainConfig(seed=0, max_iters=5, early_stop_delta=0.0))]
+    check6 = [(generate_scenario(derive_seed(0, "scenario", "K", 4, t), k=4),
+               TrainConfig(seed=derive_seed(0, "l4v", "K", 4, t))) for t in range(5)]
+    figures = {f"rollout K={k} us/step": rollout_us_per_step(k, share) for k in KS}
+    figures.update({f"long {PHASES[name]} ms": value for name, value in phase_medians(long_runs, share, 1.0).items()})
+    figures.update({f"short {PHASES[name]} us": value for name, value in phase_medians(check6, share, 1e3).items()})
+    return {"package": aavtraj.__file__, "figures": figures}
+
+
+def run_round(tree: Path, budget: float) -> dict:
+    """measure(budget) in a fresh process that imports tree/src."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, __file__, "--json", "--budget", str(budget)], env=env,
+                          check=True, capture_output=True, text=True)
+    record = json.loads(proc.stdout)
+    if not Path(record["package"]).resolve().is_relative_to((tree / "src").resolve()):
+        raise RuntimeError(f"imported aavtraj from {record['package']}, not from {tree / 'src'}")
+    return record["figures"]
+
+
+def report(sides: dict) -> list:
+    """One line per figure: each side's median over its rounds (and, with
+
+    two sides, the change relative to the parent and its faster rounds).
+    """
+    names = list(next(iter(sides.values()))[0])
+    lines = []
+    for name in names:
+        cells = [f"{name:<26}"]
+        medians = {}
+        for side, rounds in sides.items():
+            medians[side] = statistics.median(r[name] for r in rounds)
+            cells.append(f"{side} {medians[side]:9.3f}")
+        if "parent" in sides:
+            wins = sum(c[name] < p[name] for p, c in zip(sides["parent"], sides["change"]))
+            rel = medians["change"] / medians["parent"] - 1.0
+            cells.append(f"{rel:+7.1%}  faster in {wins}/{len(sides['change'])}")
+        lines.append("  ".join(cells))
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--against", help="git revision to compare the working tree with")
+    p.add_argument("--budget", type=float, default=4.0, help="seconds of measurement per round")
+    p.add_argument("--rounds", type=int, default=5, help="fresh processes per side")
+    p.add_argument("--json", action="store_true", help="measure in this process and print JSON")
+    args = p.parse_args(argv)
+    if args.budget <= 0.0 or args.rounds < 1:
+        p.error("need --budget > 0 and --rounds >= 1")
+    if args.json:
+        print(json.dumps(measure(args.budget)))
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="step-cost-") as tmp:
+        trees = {"change": ROOT}
+        title = f"step_cost: the working tree, {args.rounds} rounds of {args.budget:g} s"
+        if args.against:
+            from bench_pairs import extract
+
+            sha = extract(args.against, Path(tmp))
+            trees = {"parent": Path(tmp), "change": ROOT}
+            title += f", against {args.against} ({sha[:12]})"
+        print(title, flush=True)
+        sides = {side: [] for side in trees}
+        for i in range(args.rounds):
+            for side in trees if i % 2 == 0 else reversed(list(trees)):
+                sides[side].append(run_round(trees[side], args.budget))
+    print("\n".join(report(sides)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
