@@ -26,16 +26,8 @@ from .env import (
 from .policy import (
     PolicyParams,
     SweepScratch,
-    activations,
-    derivative_factors,
-    head_slopes,
-    input_jacobians,
-    observation_jacobian,
-    observations,
+    control_law_pass,
     observe,
-    pullback,
-    recorded_pass,
-    unpack,
     vjp,  # not called here, like observe: perfbench/tracing.py wraps both under these names
 )
 from .smoothing import smoothness_grads, smoothness_penalty
@@ -144,9 +136,9 @@ def _costates(traj: TrajectoryRecord, scn: Scenario, du_dx: Optional[np.ndarray]
     M_t = A_t + B_t du_dx_t chains the state Jacobian with the control
     law's Jacobian du_dx (T, 2, 2+K); e_t is the stage-cost gradient (zero
     at t = 0) plus the rows extra (T, 2+K). Free controls have neither
-    (None). M_t and e_t are built for the whole tape at once, in scratch's
-    two halves when given; only the T mat-vecs run in sequence, over row
-    views. Returns lam (T+1, 2+K) and B (T, 2+K, 2), new arrays.
+    (None). M_t and e_t are built for the whole tape at once, in
+    scratch.matrices when given; only the T mat-vecs run in sequence, over
+    row views. Returns lam (T+1, 2+K) and B (T, 2+K, 2), new arrays.
     """
     t_len, n = traj.steps, 2 + scn.k
     b_mats = control_jacobians(traj.controls, scn)
@@ -154,9 +146,7 @@ def _costates(traj: TrajectoryRecord, scn: Scenario, du_dx: Optional[np.ndarray]
     # rate gradients (pre-step rows) and the stage-cost gradients (all rows)
     diff = traj.positions[:, None, :] - scn.user_positions
     d2 = np.sum(diff * diff, axis=2)
-    m_out = prod = None
-    if scratch is not None:
-        m_out, prod = (scratch.view(half, (t_len, n, n)) for half in scratch.halves)
+    m_out, prod = (None, None) if scratch is None else scratch.matrices(t_len)
     m_mats = state_jacobians(traj.active_masks, rate_gradients_of_offsets(diff[:-1], d2[:-1], scn), scn, m_out)
     if du_dx is not None:
         m_mats += np.matmul(b_mats, du_dx, out=prod)
@@ -205,24 +195,13 @@ def backward_closedloop(
 ) -> GradientBundle:
     """Reverse sweep of the full training objective through the policy.
 
-    The sweep needs the policy's forward pass at every state of the tape.
-    When traj is the latest float tape of the PolicyController that rolled
-    it out, rolled out with params (bit for bit) on scn, its own scenario,
-    the rows that controller's workspace recorded are read
-    (policy.recorded_pass), and the sweep works in that workspace's
-    scratch, held for the controller's run. Any other tape (a replay of
-    its controls, a step-loop tape, a record built by hand, an earlier
-    tape, other parameters) has the pass recomputed from its states in
-    one batched pass, and the headings it gives must be the tape's bit
-    for bit, so the tape must come from rolling out these parameter
-    values; that sweep works in new arrays. Both give the same bits.
-
-    The pass gives the control law's Jacobian du_dx_t = diag(h_t) J_t O
-    (head slope, policy input Jacobian, observation Jacobian), which enters
-    the adjoint recurrence (_costates) with du_dx_t^T of the smoothness
-    partials as extra e_t rows. The action gradients and one batched
-    policy pullback of the parameter gradient follow from the costates;
-    the bundle's arrays are new ones.
+    policy.control_law_pass gives the control law's Jacobian du_dx_t, from
+    the tape's recorded forward pass or a recompute (the tape must come
+    from rolling out these parameter values), which enters the adjoint
+    recurrence (_costates) with du_dx_t^T of the smoothness partials as
+    extra e_t rows. The action gradients follow from the costates, and
+    the parameter gradient is their policy pullback; the bundle's arrays
+    are new ones.
     """
     _check_record(traj, scn)  # before the forward pass, which reads the tape too
     controls = traj.controls
@@ -230,21 +209,7 @@ def backward_closedloop(
     j_smooth = smoothness_penalty(controls, alpha)
     j_total = j_task + beta * j_smooth
 
-    ws = recorded_pass(traj, params, scn)
-    if ws is None:
-        layers = unpack(params)
-        acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
-        if not np.array_equal(acts[-1][:, 1], controls[:, 1]):
-            raise ScenarioError("trajectory record was rolled out with different params")
-        acts, z0 = acts[:-1], acts[-1][:, 0]
-        obs_jac, scratch = observation_jacobian(scn), SweepScratch(params.spec, scn.k)
-    else:
-        layers, acts, z0 = ws.sweep_inputs(traj.steps)
-        obs_jac, scratch = ws.obs_jac, ws.scratch
-    scratch.fit(traj.steps)
-    slopes = head_slopes(z0, params.v_max)
-    ders = derivative_factors(acts[1:], scratch.ders)
-    du_dx = input_jacobians(layers, ders, slopes, obs_jac, scratch)
+    du_dx, scratch, param_pullback = control_law_pass(traj, params, scn)
     s_grads, extra = np.zeros(controls.shape), None
     if beta != 0.0:
         s_grads = beta * smoothness_grads(controls, alpha)
@@ -252,7 +217,7 @@ def backward_closedloop(
     lam, b_mats = _costates(traj, scn, du_dx, extra, scratch)
 
     action_grads = np.einsum("tij,ti->tj", b_mats, lam[1:]) + s_grads
-    param_grad, _ = pullback(layers, acts, ders, slopes * action_grads, scratch)
+    param_grad = param_pullback(action_grads)
     if not np.isfinite(param_grad).all():
         raise NumericFailure(0, "backward")
     return GradientBundle(action_grads, param_grad, j_task, j_smooth, j_total)

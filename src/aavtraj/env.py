@@ -135,8 +135,8 @@ class TrajectoryRecord:
     recording is a weak reference to the policy.Workspace of the
     PolicyController whose float tape this is, or None: the reverse sweep
     reads the forward pass recorded there while this is still that
-    controller's latest tape (policy.recorded_pass). Copies made by pickle
-    or the copy module drop it.
+    controller's latest tape (policy.control_law_pass decides). Copies
+    made by pickle or the copy module drop it.
     """
 
     positions: np.ndarray
@@ -351,7 +351,7 @@ def rollout(
             if type(policy) is PolicyController:
                 tape = policy_tape(policy, scn, t_max, threshold)
                 if tape is not None:
-                    recording = weakref.ref(policy.workspace)
+                    *tape, recording = tape
     if tape is None:
         tape = _step_loop(policy, scn, t_max, threshold)
     # a replayed tape brings its stage costs; the others are scored here

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional
@@ -316,6 +317,11 @@ class SweepScratch:
             self.rows = rows
         return self
 
+    def matrices(self, t_len: int) -> tuple:
+        """The two halves of work as (t_len, 2+K, 2+K) arrays, for the adjoint recurrence."""
+        n = 2 + self.k
+        return tuple(self.view(half, (t_len, n, n)) for half in self.halves)
+
     @staticmethod
     def view(buf: np.ndarray, shape: tuple) -> np.ndarray:
         """The first entries of the flat array buf as a C-ordered array of shape."""
@@ -331,10 +337,9 @@ class Workspace:
     activation) as the rows of one array per layer, which double when a
     tape outgrows them; z0, the raw speed-head outputs, as a list of
     floats; and tape, that tape's (positions, backlogs, controls) arrays,
-    None while no recorded tape is current. recorded_pass hands it to the
-    reverse sweep, which reads the rows instead of recomputing them and
-    works in scratch, with the run's constant layers and observation
-    Jacobian.
+    None while no recorded tape is current. control_law_pass reads the
+    rows instead of recomputing them when it sweeps that tape, and works
+    in scratch, with the run's constant layers and observation Jacobian.
     """
 
     def __init__(self, spec: LayerSpec, scn: Scenario):
@@ -375,40 +380,53 @@ class Workspace:
             yield from self._rows_from(start)
             start = self.capacity
 
-    def sweep_inputs(self, steps: int) -> tuple:
-        """(layers, acts, z0) of the recorded tape of steps steps, for the
 
-        reverse sweep: the layers as views of flat, each layer's input rows
-        and the raw speed-head outputs as a new array.
-        """
-        if self.scratch is None:
-            self.scratch = SweepScratch(self.spec, self.scn.k)
-            self.layers = _layer_views(self.flat, self.spec)
-            self.obs_jac = observation_jacobian(self.scn)
-        return self.layers, [r[:steps] for r in self.rows], np.array(self.z0)
+def control_law_pass(traj: TrajectoryRecord, params: PolicyParams, scn: Scenario) -> tuple:
+    """The control law's part of traj's reverse sweep under params on scn:
 
+    (du_dx, scratch, param_pullback). The policy's forward pass at every
+    state of the tape is read off traj's recording when traj's positions,
+    backlogs and controls are the arrays of the latest float tape of the
+    controller whose Workspace it links to, scn is that controller's own
+    scenario, and params has the spec and, bit for bit, the flat vector the
+    tape was rolled out with; the sweep then works in that workspace's
+    scratch, with the run's layers and observation Jacobian, made at its
+    first sweep. Any other tape (a replay, a step-loop tape, a record built
+    by hand, an earlier tape of the controller, other parameters) has the
+    pass recomputed from its states in one batched pass, in a new scratch,
+    and raises ScenarioError unless the headings it gives are the tape's,
+    bit for bit. Both give the same bits.
 
-def recorded_pass(traj: TrajectoryRecord, params: PolicyParams, scn: Scenario) -> Optional[Workspace]:
-    """The Workspace whose rows hold traj's forward pass under params, or None.
-
-    It is traj's recording when traj's positions, backlogs and controls
-    are the arrays of the latest float tape of the controller that holds
-    it, scn is that controller's own scenario, and params has the spec
-    and, bit for bit, the flat vector the tape was rolled out with. Then
-    the rows are the batched activations of the tape's observations under
-    params, bit for bit. Any other tape (a replay, a step-loop tape, a
-    record built by hand, an earlier tape of the controller, other
-    parameters) gets None.
+    du_dx (T, 2, 2+K), the control law's Jacobian diag(h_t) J_t O (head
+    slope, policy input Jacobian, observation Jacobian), is a view of
+    scratch.du_dx; the adjoint recurrence may then take scratch.matrices.
+    param_pullback(cotangents) returns the parameter gradient of the action
+    cotangents (T, 2), a new array. It overwrites the derivative factors
+    and scratch.work, so it runs once, after the recurrence.
     """
     ws = None if traj.recording is None else traj.recording()
-    if ws is None or ws.tape is None:
-        return None
-    positions, backlogs, controls = ws.tape
-    if (traj.positions is positions and traj.backlogs is backlogs and traj.controls is controls
+    tape = None if ws is None else ws.tape
+    if (tape is not None and tape[0] is traj.positions and tape[1] is traj.backlogs and tape[2] is traj.controls
             and scn is ws.scn and params.spec == ws.spec
             and np.array_equal(params.flat.view(np.int64), ws.flat.view(np.int64))):
-        return ws
-    return None
+        if ws.scratch is None:
+            ws.scratch = SweepScratch(ws.spec, scn.k)
+            ws.layers = _layer_views(ws.flat, ws.spec)
+            ws.obs_jac = observation_jacobian(scn)
+        layers, acts, z0 = ws.layers, [r[: traj.steps] for r in ws.rows], np.array(ws.z0)
+        obs_jac, scratch = ws.obs_jac, ws.scratch
+    else:
+        layers = unpack(params)
+        acts = activations(layers, observations(traj.positions[:-1], traj.backlogs[:-1], scn))
+        if not np.array_equal(acts[-1][:, 1], traj.controls[:, 1]):
+            raise ScenarioError("trajectory record was rolled out with different params")
+        acts, z0 = acts[:-1], acts[-1][:, 0]
+        obs_jac, scratch = observation_jacobian(scn), SweepScratch(params.spec, scn.k)
+    scratch.fit(traj.steps)
+    slopes = head_slopes(z0, params.v_max)
+    ders = derivative_factors(acts[1:], scratch.ders)
+    du_dx = input_jacobians(layers, ders, slopes, obs_jac, scratch)
+    return du_dx, scratch, lambda cotangents: pullback(layers, acts, ders, slopes * cotangents, scratch)[0]
 
 
 class PolicyController:
@@ -466,7 +484,8 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     before termination would raise (non-finite or out-of-range control,
     non-finite state) or (d2 + H^2) * sigma2 underflows to zero; _step_loop
     then runs the rollout. The tape is (positions, backlogs, controls,
-    terminated): rollout reads the clamp masks off the backlogs.
+    terminated, recording): rollout reads the clamp masks off the
+    backlogs, and recording is a weak reference to ctl's Workspace.
 
     Each step repeats the per-step loop's arithmetic, in its order, one
     float at a time, in one pass over the K users: it builds the
@@ -491,7 +510,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     the parameter values, each step's observation and hidden activations,
     computed straight into the workspace's rows, and its raw speed-head
     output. A tape that comes back becomes the workspace's current tape,
-    whose reverse sweep reads them (recorded_pass); a None leaves none.
+    whose reverse sweep reads them (control_law_pass); a None leaves none.
     """
     if ctl.workspace is None:
         ctl.workspace = Workspace(ctl.params.spec, ctl.scn)
@@ -564,7 +583,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     if not (np.isfinite(positions).all() and np.isfinite(backlogs).all()):
         return None
     ws.tape, ws.z0 = (positions, backlogs, controls), z0s
-    return positions, backlogs, controls, terminated
+    return positions, backlogs, controls, terminated, weakref.ref(ws)
 
 
 def _rows(flat: list, width: int) -> np.ndarray:

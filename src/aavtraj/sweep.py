@@ -78,6 +78,8 @@ class SweepSpec:
             self.values = DEFAULT_VALUES[self.variable]
         self.values = tuple(self.values)
         check_int("trials", self.trials, 1)
+        if isinstance(self.root_seed, bool) or not isinstance(self.root_seed, (int, np.integer)):
+            raise ScenarioError(f"root_seed must be an integer, got {self.root_seed!r}")
         self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in METHODS:

@@ -187,7 +187,8 @@ def _train_once(scn: Scenario, cfg: TrainConfig, lr: float) -> tuple[PolicyParam
             bundle = backward_closedloop(traj, params, scn, beta=cfg.beta, alpha=cfg.alpha)
             t2 = time.perf_counter()
             grad = bundle.param_grad
-            pre = post = float(np.linalg.norm(grad))
+            with np.errstate(over="ignore"):  # a finite gradient whose sum of squares overflows logs inf
+                pre = post = float(np.linalg.norm(grad))
             if not pre <= cfg.clip_threshold:  # a NaN norm goes to the clip too
                 grad = clip_gradient(grad, cfg.clip_threshold)
                 post = float(np.linalg.norm(grad))

@@ -38,8 +38,8 @@ from aavtraj.adjoint import (
 from aavtraj.baselines import SequenceController
 from aavtraj.env import initial_state, stage_cost, step
 from aavtraj import policy
-from aavtraj.policy import (PolicyController, _sigmoid, activations, observation_jacobian, observations, observe,
-                            recorded_pass, unpack, vjp)
+from aavtraj.policy import (PolicyController, _sigmoid, activations, control_law_pass, observation_jacobian,
+                            observations, observe, unpack, vjp)
 from aavtraj.smoothing import smoothness_grads, smoothness_penalty
 from oracles import as_vector, hamiltonian, rate_gradients_at, step_and_mask
 
@@ -617,12 +617,19 @@ class TestTapeSweep:
         assert_array_reordered(got.action_grads, open_grads, 1)
 
 
+def reads_recording(traj, params, scn, ctl):
+    """Whether control_law_pass sweeps traj from ctl's recording: the scratch it returns is ctl's own."""
+    scratch = control_law_pass(traj, params, scn)[1]
+    return scratch is ctl.workspace.scratch
+
+
 class TestRecordedPass:
     """The latest float tape of a live PolicyController is swept from the
 
     forward pass policy_tape recorded in the controller's workspace, in
-    arrays the workspace holds; every other tape recomputes the pass. The
-    reference here is the recompute, on a record without the recording.
+    arrays the workspace holds; every other tape recomputes the pass
+    (policy.control_law_pass decides). The reference here is the
+    recompute, on a record without the recording.
     """
 
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 10),
@@ -636,15 +643,17 @@ class TestRecordedPass:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(policy, "FIRST_ROWS", first_rows)  # the rows grow within the tape
             traj = rollout(ctl, scn, t_max, 1e-3)
-        ws = recorded_pass(traj, params, scn)
-        assert ws is ctl.workspace
-        _, acts, z0 = ws.sweep_inputs(traj.steps)
+        du_dx, scratch, _ = control_law_pass(traj, params, scn)
+        ws = ctl.workspace
+        assert scratch is ws.scratch
+        acts, z0 = [r[: traj.steps] for r in ws.rows], np.array(ws.z0)
         want = activations(unpack(params), observations(traj.positions[:-1], traj.backlogs[:-1], scn))
         assert len(acts) == len(want) - 1
         for got_rows, want_rows in zip([*acts, z0], [*want[:-1], want[-1][:, 0]]):
             assert got_rows.tobytes() == want_rows.tobytes()
-        got = backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3)
         copy = replace(params, flat=params.flat.copy())
+        assert du_dx.tobytes() == control_law_pass(replace(traj, recording=None), copy, scn)[0].tobytes()
+        got = backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3)
         assert_bitwise(got, backward_closedloop(replace(traj, recording=None), copy, scn, beta=beta, alpha=1e-3))
         # the sweep leaves the recording as it found it
         assert_bitwise(backward_closedloop(traj, params, scn, beta=beta, alpha=1e-3), got)
@@ -662,7 +671,9 @@ class TestRecordedPass:
         later = backward_closedloop(second, params, scn, beta=1.0)
         now = [getattr(first, f) for f in fields] + [bundle.action_grads, bundle.param_grad]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(saved, now))
-        assert recorded_pass(first, params, scn) is None and recorded_pass(second, params, scn) is ctl.workspace
+        with pytest.raises(ScenarioError, match="different params"):  # recomputed, so its headings are checked
+            control_law_pass(first, params, scn)
+        assert reads_recording(second, params, scn, ctl)
         ws = ctl.workspace
         held = [ws.flat, *ws.rows, ws.scratch.work, ws.scratch.du_dx, *ws.scratch.ders]
         handed = [getattr(second, f) for f in fields] + [later.action_grads, later.param_grad]
@@ -677,8 +688,7 @@ class TestRecordedPass:
         params = init_params(36, k=3, hidden=(8,))
         ctl = PolicyController(params, scn)
         traj = rollout(ctl, scn, 20, 1e-3)
-        ws = ctl.workspace
-        assert recorded_pass(traj, replace(params, flat=params.flat.copy()), scn) is ws  # equal bits
+        assert reads_recording(traj, replace(params, flat=params.flat.copy()), scn, ctl)  # equal bits
         signed_zero = params.flat.copy()
         signed_zero[-1] = -0.0  # equal in value to the heading bias 0.0, not in bits
         others = [
@@ -689,7 +699,7 @@ class TestRecordedPass:
             (pickle.loads(pickle.dumps(traj)), params, scn),
         ]
         for other in others:
-            assert recorded_pass(*other) is None
+            assert not reads_recording(*other, ctl)
             assert_bitwise(backward_closedloop(*other), backward_closedloop(traj, params, scn))
         # a step-loop tape leaves no current recording
         with np.errstate(under="ignore"):
@@ -701,7 +711,8 @@ class TestRecordedPass:
 
         assert rollout(Subclass(params, scn), scn, 5, 1e-3).recording is None
         params.flat[-1] += 1e-9  # in place, after the rollout
-        assert recorded_pass(traj, params, scn) is None
+        with pytest.raises(ScenarioError, match="different params"):
+            control_law_pass(traj, params, scn)
         with pytest.raises(ScenarioError, match="different params"):
             backward_closedloop(traj, params, scn)
         # a flat vector rebound after the controller was built: its layers still
@@ -710,6 +721,35 @@ class TestRecordedPass:
         ctl = PolicyController(rebound, scn)
         rebound.flat = rebound.flat * 2.0
         traj = rollout(ctl, scn, 20, 1e-3)
-        assert recorded_pass(traj, rebound, scn) is None
+        with pytest.raises(ScenarioError, match="different params"):
+            control_law_pass(traj, rebound, scn)
         with pytest.raises(ScenarioError, match="different params"):
             backward_closedloop(traj, rebound, scn)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_a_zero_step_tape_reads_its_recording_and_equals_a_recompute(self, beta):
+        scn = replace(generate_scenario(38, k=3), demands=np.zeros(3))
+        params = init_params(38, k=3, hidden=(8, 6), v_max=scn.v_max)
+        ctl = PolicyController(params, scn)
+        traj = rollout(ctl, scn, 20, 1e-3)
+        assert traj.steps == 0 and traj.recording is not None
+        got = backward_closedloop(traj, params, scn, beta=beta)
+        assert got.action_grads.shape == (0, 2) and reads_recording(traj, params, scn, ctl)
+        copy = replace(params, flat=params.flat.copy())
+        assert_bitwise(got, backward_closedloop(replace(traj, recording=None), copy, scn, beta=beta))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_a_longer_second_tape_grows_the_rows_and_equals_a_recompute(self, beta):
+        scn = generate_scenario(39, k=4, demand_lo=20.0, demand_hi=40.0)
+        params = init_params(39, k=4, hidden=(16, 8), v_max=scn.v_max)
+        ctl = PolicyController(params, scn)
+        first = rollout(ctl, scn, 10, 1e-3)
+        backward_closedloop(first, params, scn, beta=beta)
+        ws = ctl.workspace
+        assert first.steps == ws.capacity == ws.scratch.rows == 10
+        second = rollout(ctl, scn, 300, 1e-3)
+        assert second.steps > 2 * policy.FIRST_ROWS and ws.capacity >= second.steps  # grown twice
+        got = backward_closedloop(second, params, scn, beta=beta)
+        assert reads_recording(second, params, scn, ctl) and ws.scratch.rows == second.steps
+        copy = replace(params, flat=params.flat.copy())
+        assert_bitwise(got, backward_closedloop(replace(second, recording=None), copy, scn, beta=beta))

@@ -80,19 +80,23 @@ def test_step_loop_digests_repeat_and_catch_a_flipped_mask(monkeypatch):
 
 
 def test_training_digests_hold_when_every_sweep_recomputes_its_forward_pass(monkeypatch):
+    from dataclasses import replace
+
     import aavtraj.adjoint as adjoint
 
-    real, read = adjoint.recorded_pass, []
+    real, read = adjoint.control_law_pass, []
 
-    def spy(*args):
-        ws = real(*args)
-        read.append(ws is not None)
-        return ws
+    def spy(traj, *args):
+        du_dx, scratch, pull = real(traj, *args)
+        ws = None if traj.recording is None else traj.recording()
+        read.append(ws is not None and scratch is ws.scratch)  # the controller's own scratch: its recording
+        return du_dx, scratch, pull
 
-    monkeypatch.setattr(adjoint, "recorded_pass", spy)
+    monkeypatch.setattr(adjoint, "control_law_pass", spy)
     first = digests_of(bitcheck.training_outputs())
     assert any(read) and not all(read)  # the underflow run's step-loop tapes recompute
-    monkeypatch.setattr(adjoint, "recorded_pass", lambda *args: None)
+    # a record without its recording always has the pass recomputed
+    monkeypatch.setattr(adjoint, "control_law_pass", lambda traj, *args: real(replace(traj, recording=None), *args))
     assert digests_of(bitcheck.training_outputs()) == first
 
 

@@ -369,6 +369,12 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert "trials must be an integer >= 1, got 1.5" in capsys.readouterr().err
 
+    def test_non_integer_root_seed_exit2(self, tmp_path, capsys):
+        spec = write_json(tmp_path, "spec.json", {"variable": "K", "values": [2], "trials": 1, "root_seed": "abc"})
+        code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "root_seed must be an integer, got 'abc'" in capsys.readouterr().err
+
     def test_failed_cells_exit1(self, tmp_path, monkeypatch, capsys):
         def explode(scn, cfg):
             raise TrainingError("diverged", TrainingLog())

@@ -88,6 +88,18 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match=message):
             SweepSpec(variable=variable, values=[2, value] if variable == "K" else [5.0, value], trials=1)
 
+    @pytest.mark.parametrize("root_seed", ["abc", None, 1.5, True, False, "7", np.float64(2.0)])
+    def test_non_integer_root_seed_rejected(self, root_seed):
+        with pytest.raises(ScenarioError, match=r"root_seed must be an integer, got"):
+            SweepSpec(variable="K", values=(2,), trials=1, root_seed=root_seed)
+        with pytest.raises(ScenarioError, match=r"root_seed must be an integer, got"):
+            sweep_spec_from_dict({"variable": "K", "values": [2], "trials": 1, "root_seed": root_seed})
+
+    @pytest.mark.parametrize("root_seed", [-7, 0, 2**70, np.int64(5)])
+    def test_integer_root_seeds_run(self, root_seed):
+        rows = run_sweep(SweepSpec(variable="K", values=(2,), trials=1, methods=("greedy",), root_seed=root_seed))
+        assert rows[0].error == "" and rows[0].trial_seed == derive_seed(int(root_seed), "greedy", "K", 2, 0)
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ScenarioError):
             sweep_spec_from_dict({"variable": "K", "values": [2], "mystery": 1})

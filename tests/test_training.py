@@ -320,6 +320,28 @@ class TestTrainLoop:
             assert (r.grad_norm_pre > clip_threshold) is clips
             assert (r.grad_norm_post == r.grad_norm_pre) is not clips
 
+    def test_an_overflowing_norm_is_logged_as_inf_without_a_warning(self, monkeypatch):
+        # a finite gradient whose sum of squares overflows: clip_gradient rescales it
+        real = trainer_mod.backward_closedloop
+
+        def huge(*args, **kwargs):
+            bundle = real(*args, **kwargs)
+            bundle.param_grad[:] = 2.0
+            bundle.param_grad[:2] = (1e200, -3e200)
+            return bundle
+
+        monkeypatch.setattr(trainer_mod, "backward_closedloop", huge)
+        scn = generate_scenario(3, k=2)
+        cfg = TrainConfig(seed=3, max_iters=2)
+        start = init_params(cfg.seed, scn.k, hidden=cfg.hidden, v_max=scn.v_max).flat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, log = train(scn, cfg)
+        assert log.learning_rate == cfg.learning_rate and log.iterations == 2
+        for r in log.rows:
+            assert r.grad_norm_pre == math.inf and r.grad_norm_post <= cfg.clip_threshold
+        assert np.isfinite(params.flat).all() and not np.array_equal(params.flat, start)
+
     def test_early_stop_fires_correctly(self):
         scn = generate_scenario(0)
         cfg = TrainConfig(seed=0)

@@ -79,6 +79,20 @@ def snapshot(into: Path, root: Path = ROOT) -> None:
         shutil.copy2(src, dst, follow_symlinks=False)
 
 
+def run_in_tree(tree: Path, script: str, *args: str) -> dict:
+    """The JSON object script prints when run with args in a fresh process
+
+    whose PYTHONPATH is tree/src. Its "package" entry names the aavtraj the
+    process imported, which must be under tree/src.
+    """
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, script, *args], env=env, check=True, capture_output=True, text=True)
+    record = json.loads(proc.stdout)
+    if not Path(record["package"]).resolve().is_relative_to((tree / "src").resolve()):
+        raise RuntimeError(f"imported aavtraj from {record['package']}, not from {tree / 'src'}")
+    return record
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in tree: its last stdout line (the result object)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),

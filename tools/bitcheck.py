@@ -44,7 +44,6 @@ import csv
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
@@ -284,17 +283,6 @@ def moved(parent: dict, change: dict) -> list:
     return sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
 
 
-def tree_digests(tree: Path) -> dict:
-    """digests() computed in a fresh process that imports tree/src."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, __file__, "--digests"], env=env, check=True,
-                          capture_output=True, text=True)
-    record = json.loads(proc.stdout)
-    if not Path(record["package"]).resolve().is_relative_to((tree / "src").resolve()):
-        raise RuntimeError(f"imported aavtraj from {record['package']}, not from {tree / 'src'}")
-    return record["digests"]
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     group = p.add_mutually_exclusive_group(required=True)
@@ -306,12 +294,12 @@ def main(argv=None) -> int:
         print(json.dumps({"package": aavtraj.__file__, "digests": digests()}))
         return 0
 
-    from bench_pairs import extract
+    from bench_pairs import extract, run_in_tree
 
     with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
         sha = extract(args.against, Path(tmp))
-        parent = tree_digests(Path(tmp))
-    change = tree_digests(ROOT)
+        parent = run_in_tree(Path(tmp), __file__, "--digests")["digests"]
+    change = run_in_tree(ROOT, __file__, "--digests")["digests"]
     names = moved(parent, change)
     for name in names:
         print(f"moved: {name}")

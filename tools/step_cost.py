@@ -18,11 +18,11 @@ Three figures of the aavtraj under test:
 Each round is a fresh process with OPENBLAS_NUM_THREADS=1 that imports
 the tree's src/ and spends about BUDGET seconds (default 4) on the three
 figures, at least one rollout or run each. Without --against it runs the
-working tree. With --against REV it also extracts REV with `git archive`
-(as tools/bench_pairs.py does) and alternates the two sides, the parent
-first in even rounds. It prints each figure's median over the rounds of
-each side, the change relative to the parent and the rounds the change
-was faster in. `--json` measures the aavtraj on the import path in this
+working tree. With --against REV both sides run from fresh trees, as in
+tools/bench_pairs.py: REV extracted with `git archive`, and a snapshot of
+the working tree; the two sides alternate, the parent first in even
+rounds. It prints each figure's median over the rounds of each side, the
+change relative to the parent and the rounds the change was faster in. `--json` measures the aavtraj on the import path in this
 process and prints the figures as JSON (the per-round step). Standard
 library, numpy and the package only.
 """
@@ -30,7 +30,6 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -94,17 +93,6 @@ def measure(budget: float) -> dict:
     return {"package": aavtraj.__file__, "figures": figures}
 
 
-def run_round(tree: Path, budget: float) -> dict:
-    """measure(budget) in a fresh process that imports tree/src."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, __file__, "--json", "--budget", str(budget)], env=env,
-                          check=True, capture_output=True, text=True)
-    record = json.loads(proc.stdout)
-    if not Path(record["package"]).resolve().is_relative_to((tree / "src").resolve()):
-        raise RuntimeError(f"imported aavtraj from {record['package']}, not from {tree / 'src'}")
-    return record["figures"]
-
-
 def report(sides: dict) -> list:
     """One line per figure: each side's median over its rounds (and, with
 
@@ -136,23 +124,26 @@ def main(argv=None) -> int:
     if args.budget <= 0.0 or args.rounds < 1:
         p.error("need --budget > 0 and --rounds >= 1")
     if args.json:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before measure first imports numpy
         print(json.dumps(measure(args.budget)))
         return 0
+
+    from bench_pairs import extract, run_in_tree, snapshot
 
     with tempfile.TemporaryDirectory(prefix="step-cost-") as tmp:
         trees = {"change": ROOT}
         title = f"step_cost: the working tree, {args.rounds} rounds of {args.budget:g} s"
         if args.against:
-            from bench_pairs import extract
-
-            sha = extract(args.against, Path(tmp))
-            trees = {"parent": Path(tmp), "change": ROOT}
+            trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+            sha = extract(args.against, trees["parent"])
+            snapshot(trees["change"])
             title += f", against {args.against} ({sha[:12]})"
         print(title, flush=True)
         sides = {side: [] for side in trees}
         for i in range(args.rounds):
             for side in trees if i % 2 == 0 else reversed(list(trees)):
-                sides[side].append(run_round(trees[side], args.budget))
+                record = run_in_tree(trees[side], __file__, "--json", "--budget", str(args.budget))
+                sides[side].append(record["figures"])
     print("\n".join(report(sides)))
     return 0
 
