@@ -154,8 +154,10 @@ def _costates(traj: TrajectoryRecord, scn: Scenario, du_dx: Optional[np.ndarray]
     lam[0] = 0.0
     if extra is not None:
         lam[:-1] += extra
-    for row, later, m in zip(lam[-2::-1], lam[:0:-1], m_mats[::-1]):  # row views of steps T-1..0
-        row += later @ m
+    tmp, later = np.empty(n), lam[-1]
+    for row, m in zip(lam[-2::-1], m_mats[::-1]):  # row views of steps T-1..0
+        row += later.dot(m, tmp)  # later @ m, in one call: the routine without its dispatcher
+        later = row
     if not np.isfinite(lam[:-1]).all():
         bad = np.flatnonzero(~np.isfinite(lam[:-1]).all(axis=1))
         raise NumericFailure(int(bad[-1]), "backward")  # the first step the sweep reaches

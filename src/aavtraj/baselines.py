@@ -79,6 +79,8 @@ class GreedyConfig:
                 self.speed_grid = tuple(float(s) for s in grid)
             except OverflowError:
                 raise ScenarioError(f"speed_grid must be a list of numbers that fit a float, got {grid!r}") from None
+            if not self.speed_grid:
+                raise ScenarioError("speed_grid must hold at least one speed, got an empty list")
 
 
 def greedy_action(x: State, scn: Scenario, cfg: GreedyConfig) -> Control:

@@ -513,6 +513,19 @@ def check_int(name: str, value, lo: int) -> None:
         raise ScenarioError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def check_sizes(name: str, values, lo: int) -> tuple:
+    """values, a list of integers >= lo, as a tuple of ints; anything else
+
+    (a bare integer, say) raises ScenarioError naming name.
+    """
+    if not np.iterable(values) or isinstance(values, (str, bytes)):
+        raise ScenarioError(f"{name} must be a list of integers >= {lo}, got {values!r}")
+    values = tuple(values)
+    for value in values:
+        check_int(name, value, lo)
+    return tuple(int(value) for value in values)
+
+
 def is_number(value) -> bool:
     """Whether value is a real number (numpy's included); a bool is not one here."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)

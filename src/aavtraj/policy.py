@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .env import Control, Scenario, ScenarioError, State, TrajectoryRecord, check_int, check_positive, move
+from .env import (Control, Scenario, ScenarioError, State, TrajectoryRecord, check_int, check_positive,
+                  check_sizes)
 
 CHECKPOINT_FORMAT = "aavtraj-policy-v1"
 
@@ -32,9 +33,7 @@ class LayerSpec:
 
     def __post_init__(self):
         check_int("k", self.k, 1)
-        for h in self.hidden:
-            check_int("hidden", h, 1)
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", check_sizes("hidden", self.hidden, 1))
 
     @property
     def input_dim(self) -> int:
@@ -494,13 +493,16 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     env.rate_argument, d2 = o0 * o0 + o1 * o1 of the offsets (o0, o1)
     = w_i - q, whose sign squares away. The drained backlogs are clamped
     as np.maximum(0.0, x) rounds them (0.0 if x < 0.0 else x: -0.0 and
-    NaN pass through) and the vehicle moves by env.move. The controller
-    observes its own scenario's users and demands and the vehicle starts
-    from scn's; the users only enter the rates squared, so an equal
-    copy's zeros of either sign drain alike. What float arithmetic would
-    round differently stays in numpy: each hidden layer is w.dot(a, out),
-    np.dot's routine without its dispatcher, which rounds like w @ a,
-    plus the bias, then np.tanh; one np.log2 takes the K rate arguments.
+    NaN pass through), in a plain loop; the speed and the move are
+    _sigmoid's and env.move's operations in their order, written out, so
+    no Python frame runs inside a step, and the functions a step calls are
+    bound to locals. The controller observes its own scenario's users and
+    demands and the vehicle starts from scn's; the users only enter the
+    rates squared, so an equal copy's zeros of either sign drain alike.
+    What float arithmetic would round differently stays in numpy: each
+    hidden layer is w.dot(a, out), np.dot's routine without its
+    dispatcher, which rounds like w @ a, plus the bias, then np.tanh; one
+    np.log2 takes the list of the K rate arguments.
     While one backlog reaches the threshold the backlog sum cannot be
     below it (a sum of non-negative terms is at least each of them), so
     np.sum runs only when none does; a NaN fails the >= and falls
@@ -527,7 +529,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     s, users = ctl.scale, ctl.users
     *hidden, (w_head, b_head) = layers
     b0, b1 = b_head.tolist()
-    # one buffer: the K rate arguments (log2'd in place) and the head
+    # one buffer: the K rates (log2 of the rate arguments) and the head
     buf = np.empty(k + 2)
     logs, head = buf[:k], buf[k:]
     q0 = q1 = 0.0
@@ -536,6 +538,7 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
     witness = 0  # the index of a backlog >= threshold, when there is one
     terminated = None
 
+    tanh, cos, sin, isfinite, np_tanh, log2 = math.tanh, math.cos, math.sin, math.isfinite, np.tanh, np.log2
     with np.errstate(all="ignore"):  # the loop re-runs a failing tape and warns as it goes
         for t, (obs_row, outs) in zip(range(t_max), ws.step_rows(t_max)):
             if not d[witness] >= threshold:
@@ -550,25 +553,28 @@ def policy_tape(ctl: PolicyController, scn: Scenario, t_max: int, threshold: flo
                 obs += (o0 * s, o1 * s)
                 fractions.append(backlog / m if m > 0.0 else 0.0)
                 args.append(eta / ((o0 * o0 + o1 * o1 + h2) * sigma2) + 1.0)
-            obs_row[:] = obs + fractions
-            logs[:] = args
+            obs += fractions
+            obs_row[:] = obs
+            log2(args, logs)
             a = obs_row
             for (w, b), out in zip(hidden, outs):
                 w.dot(a, out)
                 out += b
-                a = np.tanh(out, out)
+                a = np_tanh(out, out)
             w_head.dot(a, head)
-            np.log2(logs, logs)
             *rates, z0, theta = buf.tolist()
             z0 += b0
             theta += b1
-            v = v_max * _sigmoid(z0)
-            if not (0.0 <= v <= v_max and math.isfinite(theta)):
+            v = v_max * (0.5 * (1.0 + tanh(0.5 * z0)))  # v_max * _sigmoid(z0)
+            if not (0.0 <= v <= v_max and isfinite(theta)):
                 return None  # math.cos(inf) would raise
-            d = [0.0 if (x := y - rate * bk * tau) < 0.0 else x for y, rate in zip(d, rates)]
-            dq0, dq1 = move(v, theta, tau)
-            q0 += dq0
-            q1 += dq1
+            drained = []
+            for y, rate in zip(d, rates):
+                drained.append(0.0 if (x := y - rate * bk * tau) < 0.0 else x)
+            d = drained
+            step = v * tau  # env.move(v, theta, tau)
+            q0 += step * cos(theta)
+            q1 += step * sin(theta)
             positions += (q0, q1)
             backlogs += d
             controls += (v, theta)

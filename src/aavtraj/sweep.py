@@ -74,9 +74,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEPABLE:
             raise ScenarioError(f"swept variable must be one of {SWEEPABLE}")
-        if not self.values:
-            self.values = DEFAULT_VALUES[self.variable]
-        self.values = tuple(self.values)
+        if not isinstance(self.values, (list, tuple)):  # None or 0 does not mean the defaults
+            raise ScenarioError(f"values must be a list of the swept variable's values, got {self.values!r}")
+        self.values = tuple(self.values or DEFAULT_VALUES[self.variable])  # an empty list means the defaults
         check_int("trials", self.trials, 1)
         if isinstance(self.root_seed, bool) or not isinstance(self.root_seed, (int, np.integer)):
             raise ScenarioError(f"root_seed must be an integer, got {self.root_seed!r}")

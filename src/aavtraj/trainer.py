@@ -19,7 +19,7 @@ import numpy as np
 from .adjoint import backward_closedloop
 from .csvio import columns, write_csv
 from .env import (NumericFailure, Scenario, ScenarioError, check_int, check_nonnegative, check_positive,
-                  check_seed, rollout)
+                  check_seed, check_sizes, rollout)
 from .policy import PolicyController, PolicyParams, init_params
 
 ADAM_BETA1 = 0.9
@@ -51,9 +51,7 @@ class TrainConfig:
     hidden: tuple = (64, 64, 32)
 
     def __post_init__(self):
-        for h in self.hidden:
-            check_int("hidden", h, 1)
-        self.hidden = tuple(int(h) for h in self.hidden)
+        self.hidden = check_sizes("hidden", self.hidden, 1)
         if self.optimizer not in ("adam", "sgd"):
             raise ScenarioError(f"unknown optimizer {self.optimizer!r}")
         for name in ("max_iters", "t_max", "early_stop_patience"):

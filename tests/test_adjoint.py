@@ -31,6 +31,7 @@ from aavtraj import (
 )
 from aavtraj.adjoint import (
     GradientBundle,
+    _costates,
     cost_grad_state,
     jacobian_control,
     jacobian_state,
@@ -41,7 +42,7 @@ from aavtraj import policy
 from aavtraj.policy import (PolicyController, _sigmoid, activations, control_law_pass, observation_jacobian,
                             observations, observe, unpack, vjp)
 from aavtraj.smoothing import smoothness_grads, smoothness_penalty
-from oracles import as_vector, hamiltonian, rate_gradients_at, step_and_mask
+from oracles import as_vector, costates_by_matmul, hamiltonian, rate_gradients_at, step_and_mask
 
 
 def smooth_scn(k=2, seed=0, dist_weight=0.01):
@@ -584,6 +585,40 @@ class TestTapeSweep:
             with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
                 sweep(traj, params, scn)
             assert (exc.value.step, exc.value.where) == (3, "backward")
+
+    @pytest.mark.parametrize("t_len", [1, 2, 500])
+    @pytest.mark.parametrize("k", [1, 3, 4, 10, 20])
+    def test_costates_are_the_matmul_recurrence(self, k, t_len):
+        # each step's later.dot(m, tmp) rounds as later @ m did, open and closed loop, with and without extra rows
+        # with K > 1, user 0 drains within the tape, so its backlog rows clamp; the others keep the mission going
+        scn = generate_scenario(36, k=k, demand_lo=2000.0, demand_hi=4000.0)
+        if k > 1:
+            scn = replace(scn, demands=np.concatenate([[2.0], scn.demands[1:]]))
+        params = init_params(36, k=k, hidden=(16, 8))
+        traj = policy_tape(scn, params, t_len)
+        assert traj.steps == t_len and (t_len < 500 or k == 1 or not traj.active_masks[:, 0].all())
+        du_dx, scratch, _ = control_law_pass(traj, params, scn)
+        extra = np.random.default_rng(k * t_len).normal(0.0, 3.0, (t_len, 2 + k))
+        for args in ((None, None), (du_dx, None), (du_dx, extra)):
+            want = costates_by_matmul(traj, scn, *args)
+            for got in (_costates(traj, scn, *args), _costates(traj, scn, *args, scratch)):
+                assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    def test_costates_fail_at_the_oracles_step(self):
+        # e_t of 1e308 at steps 7 and 6 on user 1's backlog: lam_7 stays finite, lam_6 overflows
+        scn = smooth_scn(k=3, seed=37)
+        params = init_params(37, k=3, hidden=(8,))
+        traj = policy_tape(scn, params, 12)
+        du_dx, scratch, _ = control_law_pass(traj, params, scn)
+        extra = np.zeros((12, 5))
+        extra[6:8, 3] = 1e308
+        for args in ((None, extra), (du_dx, extra)):
+            with np.errstate(all="ignore"):
+                with pytest.raises(NumericFailure) as want:
+                    costates_by_matmul(traj, scn, *args)
+                with pytest.raises(NumericFailure) as got:
+                    _costates(traj, scn, *args, scratch)
+            assert (got.value.step, got.value.where) == (want.value.step, want.value.where) == (6, "backward")
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     def test_tape_of_other_k_raises(self, sweep):

@@ -112,6 +112,13 @@ class TestGreedy:
         with pytest.raises(ScenarioError):
             greedy_action(x, scn, GreedyConfig(speed_grid=(0.0, 0.5)))
 
+    def test_empty_speed_grid_rejected_at_construction(self):
+        # greedy_action would otherwise fail with numpy's argmax of an empty sequence
+        with pytest.raises(ScenarioError, match="speed_grid must hold at least one speed, got an empty list"):
+            GreedyConfig(speed_grid=[])
+        with pytest.raises(ScenarioError, match="speed_grid"):
+            GreedyConfig(speed_grid=())
+
     def test_controller_completes_default_mission(self):
         scn = generate_scenario(0)
         m = evaluate_policy(GreedyController(scn), scn, 500, 1e-3)

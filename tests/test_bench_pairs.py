@@ -67,6 +67,20 @@ def test_a_pair_missing_a_side_counts_for_neither():
     assert wall["parent"]["median"] == 10.0
 
 
+@pytest.mark.parametrize("wins, losses, p", [(10, 0, 0.002), (0, 10, 0.002), (8, 2, 0.109), (3, 7, 0.344),
+                                             (5, 5, 1.0), (0, 0, 1.0)])
+def test_sign_test_p(wins, losses, p):
+    assert round(bench_pairs.sign_test_p(wins, losses), 3) == p
+
+
+def test_sign_p_leaves_ties_out():
+    parent, change = [10.0] * 10, [9.0] * 8 + [10.0, 11.0]  # 8 wins, a tie and a loss
+    runs = [run(i, "parent", a) for i, a in enumerate(parent)] + [run(i, "change", b) for i, b in enumerate(change)]
+    wall = bench_pairs.summarize(runs, METRICS)["train-long:0"]["wall_rel"]
+    assert wall["wins"] == 8 and wall["complete_pairs"] == 10
+    assert wall["sign_p"] == 2 * (1 + 9) / 2**9  # 8 of 9: twice P(at most 1 loss in 9 fair tosses)
+
+
 @pytest.mark.parametrize("text, want", [("train-long:0", ("train-long", 0)), ("ga-long:7", ("ga-long", 7))])
 def test_parse_case(text, want):
     assert bench_pairs.parse_case(text) == want

@@ -319,6 +319,7 @@ class TestBaseline:
         ({"heading_grid": 2.5}, "heading_grid must be an integer >= 1, got 2.5"),
         ({"heading_grid": True}, "heading_grid must be an integer >= 1, got True"),
         ({"speed_grid": [0.1, "x"]}, "speed_grid must be a list of numbers, got [0.1, 'x']"),
+        ({"speed_grid": []}, "speed_grid must hold at least one speed, got an empty list"),
     ])
     def test_bad_greedy_grid_exit2(self, tmp_path, scenario_path, capsys, config, message):
         cfg = write_json(tmp_path, "g.json", config)
@@ -362,6 +363,19 @@ class TestSweep:
         code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec_data, message", [
+        ({"greedy": {"speed_grid": []}}, "speed_grid must hold at least one speed"),
+        ({"values": None}, "values must be a list of the swept variable's values, got None"),
+        ({"values": 0}, "values must be a list of the swept variable's values, got 0"),
+        ({"train": {"hidden": 5}}, "hidden must be a list of integers >= 1, got 5"),
+    ])
+    def test_bad_field_exit2(self, tmp_path, capsys, spec_data, message):
+        spec = write_json(tmp_path, "spec.json", {"variable": "K", "values": [2], "trials": 1, **spec_data})
+        code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # refused before any cell ran
 
     def test_non_integer_trials_exit2(self, tmp_path, capsys):
         spec = write_json(tmp_path, "spec.json", {"variable": "K", "values": [2], "trials": 1.5})

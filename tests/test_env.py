@@ -768,6 +768,30 @@ class TestPolicyTape:
         got = [0.0 if (x := y - 0.0) < 0.0 else x for y in xs]
         assert np.array(got).tobytes() == np.maximum(0.0, np.array(xs)).tobytes()
 
+    def test_inline_speed_and_move_are_sigmoid_and_move(self):
+        # the float loop writes v_max * _sigmoid(z0) and env.move out inline; these forms give their bits
+        speed = "v_max * (0.5 * (1.0 + tanh(0.5 * z0)))"
+        moves = ("step = v * tau", "q0 += step * cos(theta)", "q1 += step * sin(theta)")
+        source = inspect.getsource(policy.policy_tape)
+        for form in (speed, *moves):
+            assert form in source
+        rng = np.random.default_rng(7)
+        zs = [0.0, -0.0, 5e-324, -5e-324, 40.0, -40.0, 710.0, -710.0, 1e308, -1e308, math.inf, -math.inf,
+              *rng.normal(0.0, 10.0, 300).tolist()]
+        for v_max in (0.2, 1.0 / 3.0, 7.5):
+            got = [eval(speed, {"tanh": math.tanh}, {"v_max": v_max, "z0": z}) for z in zs]
+            assert np.array(got).tobytes() == np.array([v_max * policy._sigmoid(z) for z in zs]).tobytes()
+        code = compile("\n".join(moves), "<moves>", "exec")
+        thetas = [0.0, -0.0, math.pi, -math.pi / 2, 1e300, -1e300, *rng.uniform(-10.0, 10.0, 100).tolist()]
+        for theta in thetas:
+            v = float(rng.choice([0.0, 0.2, rng.uniform(0.0, 0.2)]))
+            tau = float(rng.choice([1.0, rng.uniform(0.1, 3.0)]))
+            q0, q1 = [0.0, -0.0, float(rng.normal())][int(rng.integers(3))], float(rng.normal())
+            ns = {"v": v, "theta": theta, "tau": tau, "q0": q0, "q1": q1, "cos": math.cos, "sin": math.sin}
+            exec(code, ns)
+            dq0, dq1 = move(v, theta, tau)
+            assert np.array([ns["q0"], ns["q1"]]).tobytes() == np.array([q0 + dq0, q1 + dq1]).tobytes()
+
     def test_witness_user_drains_first(self):
         # user 0, the first backlog over the threshold, drains in two slots of the hover;
         # the far users keep the mission going

@@ -95,6 +95,23 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match=r"root_seed must be an integer, got"):
             sweep_spec_from_dict({"variable": "K", "values": [2], "trials": 1, "root_seed": root_seed})
 
+    @pytest.mark.parametrize("values", [0, None, 1.5, 2, "2", {"a": 2}, np.array([2, 4])])
+    def test_values_that_are_not_a_list_rejected(self, values):
+        # only an absent or empty list takes the default grid
+        with pytest.raises(ScenarioError, match=r"values must be a list of the swept variable's values, got"):
+            SweepSpec(variable="K", values=values, trials=1)
+        with pytest.raises(ScenarioError, match=r"values must be a list"):
+            sweep_spec_from_dict({"variable": "K", "values": values, "trials": 1})
+
+    @pytest.mark.parametrize("data", [{}, {"values": []}, {"values": ()}])
+    def test_absent_or_empty_values_take_the_defaults(self, data):
+        assert sweep_spec_from_dict({"variable": "L", "trials": 1, **data}).values == (5.0, 10.0, 15.0, 20.0, 25.0)
+        assert SweepSpec(variable="K", trials=1, **data).values == (2, 4, 6, 8, 10)
+
+    def test_empty_greedy_speed_grid_rejected(self):
+        with pytest.raises(ScenarioError, match="speed_grid must hold at least one speed"):
+            sweep_spec_from_dict({"variable": "K", "values": [2], "trials": 1, "greedy": {"speed_grid": []}})
+
     @pytest.mark.parametrize("root_seed", [-7, 0, 2**70, np.int64(5)])
     def test_integer_root_seeds_run(self, root_seed):
         rows = run_sweep(SweepSpec(variable="K", values=(2,), trials=1, methods=("greedy",), root_seed=root_seed))

@@ -25,6 +25,7 @@ from aavtraj import (
 from aavtraj.smoothing import smoothness_grads, smoothness_penalty, wrap_angle
 from aavtraj.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, clip_gradient, init_opt_state, optimizer_step
 from aavtraj import trainer as trainer_mod
+from aavtraj.policy import LayerSpec
 
 
 class TestSmoothness:
@@ -232,6 +233,17 @@ class TestTrainConfig:
         with pytest.raises(ScenarioError):
             TrainConfig(early_stop_delta=-1.0)
         TrainConfig(early_stop_delta=0.0)  # zero disables the rule
+
+    @pytest.mark.parametrize("hidden", [5, 5.0, None, "64", [8, 0], [8, True]])
+    def test_hidden_not_a_list_of_sizes_rejected(self, hidden):
+        with pytest.raises(ScenarioError, match="hidden must be"):
+            TrainConfig(hidden=hidden)
+        with pytest.raises(ScenarioError, match="hidden must be"):
+            LayerSpec(k=4, hidden=hidden)
+
+    def test_hidden_sizes_become_a_tuple_of_ints(self):
+        assert TrainConfig(hidden=[8, np.int64(4)]).hidden == (8, 4)
+        assert LayerSpec(k=1, hidden=iter([3])).hidden == (3,)
 
     @pytest.mark.parametrize("field, value", [
         ("stop_eps", math.nan), ("learning_rate", math.nan), ("clip_threshold", math.nan),

@@ -14,7 +14,9 @@ sides run from fresh trees alike. Pair i runs the parent first when i is
 even and the change first when it is odd, so a slow drift of the host
 loads both sides alike. The output holds every run's result line and,
 per case and end-to-end metric (as listed in BENCHMARK.json), each side's
-median and quartiles and the number of pairs the change won. Beside the
+median and quartiles, the number of pairs the change won and the exact
+two-sided sign-test p-value of that count over the pairs that were not
+ties (sign_p: 10 wins of 10 give 0.002, 8 of 10 give 0.109). Beside the
 parent's median it puts the change-side median that the newest earlier
 BENCH_<n>.json in the output's directory recorded for the same case and
 metric, so drift across revisions and hosts shows. It is a report, not a
@@ -23,6 +25,7 @@ gate. Standard library only.
 import argparse
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -117,11 +120,23 @@ def quartiles(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p-value of wins against losses (ties
+
+    left out): twice the probability, under a fair coin, of a split at
+    least as lopsided, at most 1.
+    """
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2**n)
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Per case "workload:seed" and metric: each side's median and quartiles,
 
-    the change's median relative to the parent's, and the pairs the change
-    won (strictly better, in the metric's direction). runs are records
+    the change's median relative to the parent's, the pairs the change
+    won (strictly better, in the metric's direction) and their sign test's
+    p-value (sign_test_p against the pairs it lost). runs are records
     {"workload", "seed", "pair", "side", "result"}; metrics are
     BENCHMARK.json's end_to_end entries. A pair missing either side's value
     counts toward neither side.
@@ -142,10 +157,11 @@ def summarize(runs: list, metrics: list) -> dict:
                 continue
             parent, change = quartiles([a for a, _ in both]), quartiles([b for _, b in both])
             wins = sum((b < a) if lower else (b > a) for a, b in both)
+            losses = sum((b > a) if lower else (b < a) for a, b in both)
             out[key][name] = {
                 "better": metric["better"], "parent": parent, "change": change,
                 "median_rel": change["median"] / parent["median"] - 1.0 if parent["median"] else None,
-                "wins": wins, "complete_pairs": len(both),
+                "wins": wins, "sign_p": sign_test_p(wins, losses), "complete_pairs": len(both),
             }
     return out
 

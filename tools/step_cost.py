@@ -15,6 +15,17 @@ Three figures of the aavtraj under test:
   K=4 missions (2-4 steps), each trained to early stop with check 6's
   seeds, in us.
 
+Beside them it prints the calls a training iteration makes, counted
+in an untimed run after the timed ones: per phase (rollout, backward,
+opt) and for the whole iteration, of the long and short runs, the
+low median over the iterations of the sys.setprofile "call" events (Python
+frames, generators resumed included) and "c_call" events (C functions
+and methods, numpy's included). Operator ufuncs (a @ b, a += b) raise
+no event, so a call moved from an operator to a method (a @ b to
+a.dot(b)) raises the C count while it cuts work: both counts are
+reported. The counts repeat exactly, run after run; a count that
+differs between rounds prints as "varies".
+
 Each round is a fresh process with OPENBLAS_NUM_THREADS=1 that imports
 the tree's src/ and spends about BUDGET seconds (default 4) on the three
 figures, at least one rollout or run each. Without --against it runs the
@@ -78,6 +89,46 @@ def phase_medians(runs: list, seconds: float, scale: float) -> dict:
     return {name: statistics.median(getattr(r, name) for r in rows) * scale for name in PHASES}
 
 
+def call_counts(runs: list) -> dict:
+    """Per phase of PHASES (the iteration's too), the low median over the
+
+    iterations train makes on each (scenario, config) of runs of its
+    [Python, C] call counts. The phases are cut where _train_once reads
+    time.perf_counter (t0 to t1 the rollout, then the backward sweep,
+    then the optimizer, to t3); an iteration that does not reach t3 is
+    left out.
+    """
+    from aavtraj import train, trainer
+
+    code, clock = trainer._train_once.__code__, time.perf_counter
+    names = [PHASES[name] for name in PHASES if name != "ms"]
+    done, current, stamps, phase = [], None, 0, None
+
+    def profile(frame, event, arg):
+        nonlocal current, stamps, phase
+        if event == "call" and frame.f_code is code:
+            stamps, phase = 0, None  # a new run (or retry) starts
+        elif event == "c_call" and arg is clock and frame.f_code is code:
+            stamp, stamps = stamps % 4, stamps + 1
+            if stamp == 0:
+                current = {name: [0, 0] for name in names}
+            elif stamp == 3:
+                done.append(current)
+            phase = names[stamp] if stamp < 3 else None
+        elif phase is not None and event in ("call", "c_call"):
+            current[phase][event == "c_call"] += 1
+
+    sys.setprofile(profile)
+    try:
+        for scn, cfg in runs:
+            train(scn, cfg)
+    finally:
+        sys.setprofile(None)
+    for it in done:
+        it["iteration"] = [sum(it[name][i] for name in names) for i in (0, 1)]
+    return {name: [statistics.median_low(it[name][i] for it in done) for i in (0, 1)] for name in PHASES.values()}
+
+
 def measure(budget: float) -> dict:
     """The figures of the aavtraj on the import path, in this process."""
     import aavtraj
@@ -90,26 +141,41 @@ def measure(budget: float) -> dict:
     figures = {f"rollout K={k} us/step": rollout_us_per_step(k, share) for k in KS}
     figures.update({f"long {PHASES[name]} ms": value for name, value in phase_medians(long_runs, share, 1.0).items()})
     figures.update({f"short {PHASES[name]} us": value for name, value in phase_medians(check6, share, 1e3).items()})
-    return {"package": aavtraj.__file__, "figures": figures}
+    counts = {f"{run} {phase} calls": value for run, runs in (("long", long_runs), ("short", check6))
+              for phase, value in call_counts(runs).items()}
+    return {"package": aavtraj.__file__, "figures": figures, "counts": counts}
 
 
 def report(sides: dict) -> list:
     """One line per figure: each side's median over its rounds (and, with
 
-    two sides, the change relative to the parent and its faster rounds).
+    two sides, the change relative to the parent and its faster rounds);
+    then a line per call count: each side's Python and C counts, the same
+    in every round or "varies" (and, with two sides, the change in each).
     """
-    names = list(next(iter(sides.values()))[0])
+    names = list(next(iter(sides.values()))[0]["figures"])
     lines = []
     for name in names:
         cells = [f"{name:<26}"]
         medians = {}
         for side, rounds in sides.items():
-            medians[side] = statistics.median(r[name] for r in rounds)
+            medians[side] = statistics.median(r["figures"][name] for r in rounds)
             cells.append(f"{side} {medians[side]:9.3f}")
         if "parent" in sides:
-            wins = sum(c[name] < p[name] for p, c in zip(sides["parent"], sides["change"]))
+            wins = sum(c["figures"][name] < p["figures"][name] for p, c in zip(sides["parent"], sides["change"]))
             rel = medians["change"] / medians["parent"] - 1.0
             cells.append(f"{rel:+7.1%}  faster in {wins}/{len(sides['change'])}")
+        lines.append("  ".join(cells))
+    lines.append('calls per iteration, low median over iterations: Python frames ("call") and C functions '
+                 '("c_call"); operator ufuncs (a @ b, a += b) raise no event')
+    for name in next(iter(sides.values()))[0]["counts"]:
+        cells, counts = [f"{name:<26}"], {}
+        for side, rounds in sides.items():
+            seen = {tuple(r["counts"][name]) for r in rounds}
+            counts[side] = seen.pop() if len(seen) == 1 else None
+            cells.append(f"{side} " + ("{:7g} py {:7g} c".format(*counts[side]) if counts[side] else "varies"))
+        if "parent" in sides and counts["parent"] and counts["change"]:
+            cells.append("{:+g} py {:+g} c".format(*(c - p for p, c in zip(counts["parent"], counts["change"]))))
         lines.append("  ".join(cells))
     return lines
 
@@ -143,7 +209,7 @@ def main(argv=None) -> int:
         for i in range(args.rounds):
             for side in trees if i % 2 == 0 else reversed(list(trees)):
                 record = run_in_tree(trees[side], __file__, "--json", "--budget", str(args.budget))
-                sides[side].append(record["figures"])
+                sides[side].append(record)
     print("\n".join(report(sides)))
     return 0
 
