@@ -36,6 +36,8 @@ from .env import (  # SequenceController stays importable from here
 from .smoothing import smoothness_penalty
 
 TWO_PI = 2.0 * math.pi
+# the most elements an array can have: np.intp counts them
+MAX_ELEMENTS = int(np.iinfo(np.intp).max)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +83,10 @@ class GreedyConfig:
                 raise ScenarioError(f"speed_grid must be a list of numbers that fit a float, got {grid!r}") from None
             if not self.speed_grid:
                 raise ScenarioError("speed_grid must hold at least one speed, got an empty list")
+        speeds = 3 if self.speed_grid is None else len(self.speed_grid)
+        if speeds * int(self.heading_grid) * 2 > MAX_ELEMENTS:  # greedy_action's candidate moves
+            raise ScenarioError(f"heading_grid must keep the (speeds * heading_grid, 2) candidate moves within "
+                                f"{MAX_ELEMENTS} elements, got {self.heading_grid!r} with {speeds} speeds")
 
 
 def greedy_action(x: State, scn: Scenario, cfg: GreedyConfig) -> Control:
@@ -138,6 +144,10 @@ class GaConfig:
                          ("elitism", 0), ("chromosome_length", 1)):
             check_int(name, getattr(self, name), lo)
         check_seed("seed", self.seed)
+        if int(self.population) * int(self.chromosome_length) * 2 > MAX_ELEMENTS:
+            raise ScenarioError(f"population and chromosome_length must keep the (population, chromosome_length, 2) "
+                                f"population within {MAX_ELEMENTS} elements, got {self.population!r} and "
+                                f"{self.chromosome_length!r}")
         if self.tournament_size > self.population:
             raise ScenarioError("tournament_size must be in [1, population]")
         if self.elitism >= self.population:
@@ -153,13 +163,29 @@ class GaConfig:
             check_nonnegative(name, getattr(self, name))
 
 
-# Steps of the first open_loop_segment call of a population's fitness
-# pass: default missions end in 2-4 steps, so a longer first call would
-# mostly compute steps no mission takes.
+# Steps of each member's own first rollout when a population is scored,
+# unless the scenario rules out an end within them: default missions end
+# in 2-4 steps, so a longer first rollout would mostly compute steps no
+# mission takes.
 OPEN_LOOP_SEGMENT = 8
-# Steps per open_loop_segment call after the first: a member whose mission
-# ends inside a chunk computes the rest of the chunk for nothing.
-OPEN_LOOP_CHUNK = 20
+# Steps per open_loop_segment call of a population's pass, from step 0: a
+# member whose mission ends inside a chunk computes the rest of the chunk
+# for nothing, and each call costs about 40 us before any step. One
+# ga_optimize call (population 50, T=500, 1 generation, seeds 0-7) on the
+# long preset (generate_scenario(0, k=K, demand_lo=20, demand_hi=40)), the
+# median over 80 rounds of the mean over the seeds, chunks alternated
+# round by round in one process, two runs (2-vCPU x86-64 host, numpy 2.4,
+# Python 3.11, OPENBLAS_NUM_THREADS=1):
+#
+#   chunk         20               30               40               60
+#   K=1     7.57 / 8.11 ms   +1.2% / -1.9%    +1.5% / -0.4%    +2.4% / +1.9%
+#   K=4     5.89 / 5.52 ms   -5.5% / -6.3%   -10.0% / -9.4%    -5.4% / -7.3%
+#   K=10    7.00 / 5.81 ms   +0.1% / -1.4%    -0.3% / -0.3%    +3.8% / +5.6%
+#
+# Random plans' missions end in 105-229 steps at K=4, 82-182 at K=10 and
+# 14-25 at K=1. Longer chunks cost more per member-step at K=10 (larger
+# arrays); 40 is the best at K=4 and level elsewhere.
+OPEN_LOOP_CHUNK = 40
 
 
 def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:
@@ -168,7 +194,7 @@ def _fitness(chrom: np.ndarray, scn: Scenario, cfg: GaConfig) -> float:
 
 
 def _objective(stage_costs: np.ndarray, controls: np.ndarray, cfg: GaConfig) -> float:
-    """Minus the task cost (stage costs summed one by one in step order, as
+    """Minus the task cost (stage costs summed in step order by sum(), as
 
     TrajectoryRecord.task_cost adds them) and the weighted smoothness
     penalty of the controls taken.
@@ -207,20 +233,29 @@ def _cannot_end_within(scn: Scenario, steps: int, threshold: float) -> bool:
 def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.ndarray:
     """[_fitness(c, scn, cfg) for c in pop] for a population (P, T, 2), bit for bit.
 
-    The members run together in one pass from step 0: an open_loop_segment
-    call over the first OPEN_LOOP_SEGMENT steps of all of them, then one
-    per OPEN_LOOP_CHUNK steps from the rows each reached, dropping members
-    as their missions end. Each is then scored on its own rows, with the
-    stage costs each segment computed (Segment.costs, as a replay's tape
-    takes them). A member whose steps would raise takes _fitness, in
-    population order, so the exception raised is the scalar loop's, and
-    so are its warnings.
+    The members run together in one pass from step 0: one open_loop_segment
+    call per OPEN_LOOP_CHUNK steps, from the rows each reached, dropping
+    members as their missions end. No member of the pass can end within
+    its first OPEN_LOOP_SEGMENT steps (see below), so the first call is a
+    whole chunk too. The members of the pass are then scored from arrays:
+    the task cost adds the stage costs each segment computed (Segment.costs,
+    as a replay's tape takes them) with sum(), as _objective does; the
+    smoothness penalty takes the squared speed changes and
+    1 - cos(heading change) of all members in one elementwise pass each,
+    and adds each member's own contiguous row slice with add.reduce, as
+    smoothness_penalty sums its fresh arrays. A member whose penalty is not
+    finite (an overflow on its own rows) is scored by _objective, which
+    warns as the scalar loop does. A member whose steps would raise takes
+    _fitness, in population order, so the exception raised is the scalar
+    loop's, and so are its warnings.
 
     Unless _cannot_end_within rules out an end within the first segment
     (long missions), each member's first segment is first a rollout of its
     own, as on the default 2-4 step missions, where a pass over those
     steps made the GA fast enough to flip acceptance check 6. A member
-    whose mission ends there is scored off it; the rest join the pass.
+    whose mission ends there is scored off it by _objective; the rest join
+    the pass. On those missions every member ends there, so the pass never
+    runs.
     """
     size, t_len = pop.shape[:2]
     head = min(OPEN_LOOP_SEGMENT, t_len)
@@ -250,7 +285,7 @@ def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.nda
     q, d = np.zeros(2), scn.demands  # the initial state, broadcast over the members
     start = 0
     while start < t_len:
-        stop = min(start + OPEN_LOOP_CHUNK, t_len) if start else head
+        stop = min(start + OPEN_LOOP_CHUNK, t_len)
         # rows after a member's end are never read, so their overflow is ignored, as in a replay
         with np.errstate(over="ignore"):
             seg = open_loop_segment(pop[live, start:stop], q, d, scn, threshold)
@@ -263,11 +298,27 @@ def _population_fitness(pop: np.ndarray, scn: Scenario, cfg: GaConfig) -> np.nda
         live, q, d = live[keep], seg.positions[keep, -1], seg.backlogs[keep, -1]
         start = stop
 
+    # the squared speed changes and 1 - cos(heading change) of every member at once, up to the
+    # latest end; rows past a member's end are never read, so their overflow and NaN are ignored
+    ends = steps.tolist()
+    ctl = pop[:, : int(steps[running].max())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = ctl[:, 1:, 0] - ctl[:, :-1, 0]
+        dv *= dv
+        turn = np.cos(ctl[:, 1:, 1] - ctl[:, :-1, 1])
+        np.subtract(1.0, turn, out=turn)
     for i in running:
+        m = ends[i]
         if failed[i]:
             fitness[i] = _fitness(pop[i], scn, cfg)
-        else:
-            fitness[i] = _objective(costs[i, : steps[i]], pop[i, : steps[i]], cfg)
+            continue
+        # a row's slice is contiguous: add.reduce sums it pairwise, as smoothness_penalty sums its
+        # fresh arrays; a one-step member's empty slices give smoothness_penalty's 0.0
+        penalty = float(np.add.reduce(dv[i, : m - 1]) + cfg.alpha * np.add.reduce(turn[i, : m - 1]))
+        if math.isfinite(penalty):
+            fitness[i] = -(float(sum(costs[i, :m].tolist())) + cfg.beta * penalty)
+        else:  # an overflow on the member's own rows: _objective warns as the scalar loop does
+            fitness[i] = _objective(costs[i, :m], pop[i, :m], cfg)
     return fitness
 
 

@@ -164,7 +164,11 @@ class TrajectoryRecord:
         return self.controls
 
     def task_cost(self) -> float:
-        """Sum of the stage costs, added one by one in step order."""
+        """Sum of the stage costs in step order, by Python's sum(): added one
+
+        by one before Python 3.12, with Neumaier compensation from 3.12 on, so
+        its last bits depend on the interpreter.
+        """
         return float(sum(self.stage_costs.tolist()))
 
 

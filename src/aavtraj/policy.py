@@ -13,7 +13,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -357,17 +357,19 @@ class Workspace:
         """An iterator over the rows of steps 0, 1, ...: (observation row,
 
         tuple of hidden rows), views of rows; when a step reaches their end
-        they double (up to t_max rows), keeping the rows before it.
+        they double (up to t_max rows), keeping the rows before it. The rows
+        of one capacity are a zip, so no Python frame runs per step; the
+        generator of zips resumes once per growth.
         """
         if self.capacity >= t_max:
             return self._rows_from(0)
-        return self._growing_rows(t_max)
+        return chain.from_iterable(self._growths(t_max))
 
     def _rows_from(self, start: int):
         obs, *hidden = (r[start:] for r in self.rows) if start else self.rows
         return zip(obs, zip(*hidden) if hidden else repeat(()))
 
-    def _growing_rows(self, t_max: int):
+    def _growths(self, t_max: int):
         start = 0
         while True:
             if start == self.capacity:
@@ -376,7 +378,7 @@ class Workspace:
                 for new, old in zip(grown, self.rows):
                     new[:start] = old[:start]
                 self.rows = grown
-            yield from self._rows_from(start)
+            yield self._rows_from(start)
             start = self.capacity
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
 from typing import Optional
 
@@ -80,10 +81,15 @@ class SweepSpec:
         check_int("trials", self.trials, 1)
         if isinstance(self.root_seed, bool) or not isinstance(self.root_seed, (int, np.integer)):
             raise ScenarioError(f"root_seed must be an integer, got {self.root_seed!r}")
+        if isinstance(self.methods, str) or not np.iterable(self.methods):
+            raise ScenarioError(f"methods must be a list of method names from {METHODS}, got {self.methods!r}")
         self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in METHODS:
                 raise ScenarioError(f"unknown method {m!r}; expected subset of {METHODS}")
+        for group in ("scenario", "train", "ga", "greedy"):
+            if not isinstance(getattr(self, group), Mapping):
+                raise ScenarioError(f"{group} must be a dict of overrides, got {getattr(self, group)!r}")
         # overrides must name real config fields; surface typos here rather
         # than as 150 identical per-cell failures
         swept = SCENARIO_KWARG[self.variable]

@@ -18,12 +18,15 @@ from aavtraj import (
     Scenario,
     ScenarioError,
     State,
+    SweepSpec,
+    derive_seed,
     evaluate_policy,
     ga_optimize,
     generate_scenario,
     init_params,
     mission_metrics,
     rollout,
+    run_sweep,
 )
 from aavtraj import baselines
 from aavtraj.baselines import OPEN_LOOP_CHUNK, OPEN_LOOP_SEGMENT, ConstantController, SequenceController, greedy_action
@@ -119,6 +122,15 @@ class TestGreedy:
         with pytest.raises(ScenarioError, match="speed_grid"):
             GreedyConfig(speed_grid=())
 
+    def test_heading_grid_sizing_more_elements_than_intp_counts_rejected(self):
+        # construction only: no config here is ever run
+        cap = np.iinfo(np.intp).max
+        for heading_grid, speed_grid in ((10**400, None), (cap // 6 + 1, None), (cap // 2 + 1, [0.0])):
+            with pytest.raises(ScenarioError, match="heading_grid must keep the"):
+                GreedyConfig(heading_grid=heading_grid, speed_grid=speed_grid)
+        GreedyConfig(heading_grid=cap // 6)
+        GreedyConfig(heading_grid=np.int64(cap // 2), speed_grid=[0.0])
+
     def test_controller_completes_default_mission(self):
         scn = generate_scenario(0)
         m = evaluate_policy(GreedyController(scn), scn, 500, 1e-3)
@@ -205,6 +217,19 @@ class TestGa:
         with pytest.raises(ScenarioError, match=field):
             GaConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["population", "chromosome_length"])
+    def test_sizes_past_what_intp_counts_rejected(self, field):
+        # construction only: the (population, chromosome_length, 2) array is never made
+        cap = np.iinfo(np.intp).max
+        with pytest.raises(ScenarioError, match=field):
+            GaConfig(**{field: 10**400})
+        other = "chromosome_length" if field == "population" else "population"
+        with pytest.raises(ScenarioError, match=field):
+            GaConfig(**{field: cap // 8 + 1, other: 4})
+        with pytest.raises(ScenarioError, match=field):  # a product numpy integers would wrap
+            GaConfig(**{field: np.int64(2**40), other: np.int64(2**40)})
+        GaConfig(**{field: cap // 8, other: 4})
+
     def test_numpy_integers_accepted(self):
         GaConfig(population=np.int64(4), generations=np.int32(1), seed=np.uint64(7))
 
@@ -271,7 +296,7 @@ def random_population(rng, scn, size, length):
 
 
 # the first chunk of the population pass ends on this row
-CHUNK_END = OPEN_LOOP_SEGMENT + OPEN_LOOP_CHUNK
+CHUNK_END = OPEN_LOOP_CHUNK
 BAD_GENES = [(0, math.nan), (0, math.inf), (0, -0.1), (0, 0.3), (1, math.nan), (1, math.inf), (1, -math.inf)]
 
 
@@ -381,6 +406,20 @@ class TestPopulationFitness:
             got = fitness_outcome(baselines._population_fitness, pop, scn, cfg)
         assert got == want and want[:2] == (NumericFailure, f"non-finite value at step {OPEN_LOOP_SEGMENT + 3} (state)")
 
+    def test_an_overflowing_penalty_warns_as_its_objective_does(self):
+        # member 2's speed changes square past the largest float on its own rows: the pass
+        # scores its penalty under errstate, then lets _objective score it and warn
+        scn, length = replace(hover_scn(1000.0), v_max=1e300, dist_weight=0.0), 60
+        cfg = GaConfig(chromosome_length=length)
+        assert baselines._cannot_end_within(scn, OPEN_LOOP_SEGMENT, cfg.stop_eps * scn.k)
+        pop = np.zeros((4, length, 2))
+        pop[2, 1::2, 0] = 2e154
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            want = np.array([baselines._fitness(c, scn, cfg) for c in pop])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            got = baselines._population_fitness(pop, scn, cfg)
+        assert got.tobytes() == want.tobytes() and want[2] == -math.inf
+
     def test_the_pass_drops_members_as_they_end(self, monkeypatch):
         batches = []
         original = baselines.open_loop_segment
@@ -397,9 +436,8 @@ class TestPopulationFitness:
         cfg = GaConfig(chromosome_length=length)
         got = baselines._population_fitness(pop, scn, cfg)
         assert got.tobytes() == scalar_fitness(pop, scn, cfg).tobytes()
-        # no member can end in its first segment, so the pass starts at step 0
-        assert batches == [(6, OPEN_LOOP_SEGMENT), (6, OPEN_LOOP_CHUNK), (6, OPEN_LOOP_CHUNK), (3, OPEN_LOOP_CHUNK),
-                           (3, 3)]
+        # no member can end in its first segment, so the pass starts at step 0 with a whole chunk
+        assert batches == [(6, OPEN_LOOP_CHUNK), (6, OPEN_LOOP_CHUNK), (3, OPEN_LOOP_CHUNK), (3, 3)]
         batches.clear()
         baselines._population_fitness(pop[:3], hover_scn(OPEN_LOOP_SEGMENT - 0.5), cfg)
         assert batches == []  # every member ended in its first segment
@@ -454,9 +492,9 @@ class TestPopulationFitness:
         monkeypatch.undo()
         assert got.tobytes() == scalar_fitness(pop, scn, cfg).tobytes()
         assert len(ran_on) == 12 and 0 < sum(ran_on) < 12 and not any(ran_on[::3])
-        # the first batch starts every running member from the initial state
-        assert batches[0] == ((sum(ran_on), OPEN_LOOP_SEGMENT), [0.0, 0.0], scn.demands.tolist())
-        assert all(shape[1] == OPEN_LOOP_CHUNK for shape, _, _ in batches[1:-1])
+        # the first batch, a whole chunk, starts every running member from the initial state
+        assert batches[0] == ((sum(ran_on), OPEN_LOOP_CHUNK), [0.0, 0.0], scn.demands.tolist())
+        assert all(shape[1] == OPEN_LOOP_CHUNK for shape, _, _ in batches[:-1])
 
 
 def rate_bound_drain(scn):
@@ -521,6 +559,19 @@ class TestFirstSegmentGate:
         for k in (1, 2, 4, 6, 8, 10):
             for seed in range(200):
                 assert not baselines._cannot_end_within(generate_scenario(seed, k=k), OPEN_LOOP_SEGMENT, 1e-3 * k)
+
+    def test_the_pass_never_runs_on_check_6_or_a_default_sweep_cell(self, monkeypatch):
+        # every member of these default-family GA runs ends in its own first segment, so
+        # the pass (and any change to it) cannot move acceptance check 6 or sweep-default
+        def never(*args):
+            raise AssertionError("the population pass ran")
+
+        monkeypatch.setattr(baselines, "open_loop_segment", never)
+        for t in range(5):  # check 6's missions and GA seeds
+            scn = generate_scenario(derive_seed(0, "scenario", "K", 4, t), k=4)
+            ga_optimize(scn, GaConfig(seed=derive_seed(0, "ga", "K", 4, t), generations=3))
+        rows = run_sweep(SweepSpec(variable="K", values=[10], trials=1, methods=("ga",), ga={"generations": 3}))
+        assert [row.error for row in rows] == [""]
 
     def test_a_non_finite_drain_never_gates(self):
         scn = scn_with([[0.0, 0.0]], [1e300], eta=1e300, sigma2=1e-300)
@@ -621,7 +672,7 @@ class TestGaAgainstTheReferenceLoop:
             assert 0.2 < np.mean(ran_on) < 0.8
         else:
             assert ran_on == []
-            assert batches[0] == (cfg.population, OPEN_LOOP_SEGMENT)
+            assert batches[0] == (cfg.population, OPEN_LOOP_CHUNK)  # every member from step 0, a whole chunk
 
 
 class TestMissionMetrics:

@@ -369,6 +369,10 @@ class TestSweep:
         ({"values": None}, "values must be a list of the swept variable's values, got None"),
         ({"values": 0}, "values must be a list of the swept variable's values, got 0"),
         ({"train": {"hidden": 5}}, "hidden must be a list of integers >= 1, got 5"),
+        ({"methods": None}, "methods must be a list of method names"),
+        ({"scenario": 5}, "scenario must be a dict of overrides, got 5"),
+        ({"ga": {"chromosome_length": 10**400}}, "population and chromosome_length must keep"),
+        ({"greedy": {"heading_grid": 2**62}}, "heading_grid must keep"),
     ])
     def test_bad_field_exit2(self, tmp_path, capsys, spec_data, message):
         spec = write_json(tmp_path, "spec.json", {"variable": "K", "values": [2], "trials": 1, **spec_data})

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from aavtraj import TrainConfig, generate_scenario
+from aavtraj import GaConfig, PolicyController, TrainConfig, generate_scenario, init_params, policy, rollout
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "step_cost.py"
 _spec = importlib.util.spec_from_file_location("step_cost", _TOOL)
@@ -17,8 +17,10 @@ _spec.loader.exec_module(step_cost)
 
 FIGURES = ["rollout K=4 us/step", "rollout K=10 us/step", "rollout K=20 us/step",
            "long rollout ms", "long backward ms", "long opt ms", "long iteration ms",
-           "short rollout us", "short backward us", "short opt us", "short iteration us"]
+           "short rollout us", "short backward us", "short opt us", "short iteration us",
+           "ga-long pass ms", "ga-long breeding ms", "check6 ga generation ms"]
 COUNTS = [f"{run} {phase} calls" for run in ("long", "short") for phase in ("rollout", "backward", "opt", "iteration")]
+COUNTS += ["ga-long pass calls", "ga-long breeding calls", "check6 ga generation calls"]
 
 
 def test_prints_every_figure_of_the_working_tree():
@@ -48,12 +50,36 @@ def test_call_counts_repeat_exactly():
     assert all(py > 0 and c > 0 for py, c in first.values())
 
 
+def test_ga_call_counts_repeat_exactly():
+    # a long-preset population takes the pass from step 0; a default one rolls each member out first
+    for scn, cfg in ((generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0),
+                      GaConfig(population=6, generations=3, chromosome_length=120)),
+                     (generate_scenario(1, k=4), GaConfig(population=6, generations=3))):
+        first = step_cost.ga_call_counts(scn, cfg)
+        assert step_cost.ga_call_counts(scn, cfg) == first
+        assert list(first) == ["pass", "breeding", "generation"]
+        assert all(py > 0 and c > 0 for py, c in first.values())
+
+
 def test_a_rollout_step_runs_no_python_frame():
     # 40 steps of the float loop: the frames counted are the rollout's own, not one per step
     runs = [(generate_scenario(0, k=4, demand_lo=20.0, demand_hi=40.0),
              TrainConfig(seed=0, max_iters=3, t_max=40, early_stop_delta=0.0, hidden=(8, 8)))]
     runs_long = [(scn, replace(cfg, t_max=80)) for scn, cfg in runs]
     assert step_cost.call_counts(runs)["rollout"][0] == step_cost.call_counts(runs_long)["rollout"][0]
+
+
+def test_a_step_of_a_tape_shorter_than_the_first_rows_runs_no_python_frame():
+    # t_max=500 leaves the workspace below t_max rows, so every rollout takes the growing rows;
+    # the two missions end in about 8 and 39 steps, both within the first FIRST_ROWS rows
+    runs = {(lo, hi): [(generate_scenario(0, k=4, demand_lo=lo, demand_hi=hi),
+                        TrainConfig(seed=0, max_iters=3, t_max=500, early_stop_delta=0.0, hidden=(8, 8)))]
+            for lo, hi in ((1.0, 2.0), (4.0, 8.0))}
+    steps = {key: [rollout(PolicyController(init_params(0, k=4, v_max=scn.v_max, hidden=(8, 8)), scn), scn, 500,
+                           cfg.stop_eps).steps for scn, cfg in run] for key, run in runs.items()}
+    assert steps[1.0, 2.0][0] < 16 and 32 < steps[4.0, 8.0][0] < policy.FIRST_ROWS
+    short, longer = (step_cost.call_counts(run)["rollout"][0] for run in runs.values())
+    assert short == longer
 
 
 def test_rejects_an_empty_budget():

@@ -103,6 +103,22 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match=r"values must be a list"):
             sweep_spec_from_dict({"variable": "K", "values": values, "trials": 1})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("methods", None, "methods must be a list of method names"),
+        ("methods", 5, "methods must be a list of method names"),
+        ("methods", "ga", "methods must be a list of method names"),
+        ("scenario", 5, "scenario must be a dict of overrides, got 5"),
+        ("scenario", None, "scenario must be a dict of overrides, got None"),
+        ("train", [1], "train must be a dict of overrides"),
+        ("ga", "x", "ga must be a dict of overrides"),
+        ("greedy", 0.5, "greedy must be a dict of overrides"),
+    ])
+    def test_fields_of_the_wrong_type_rejected_by_name(self, field, value, message):
+        with pytest.raises(ScenarioError, match=message):
+            SweepSpec(variable="K", values=(2,), trials=1, **{field: value})
+        with pytest.raises(ScenarioError, match=message):
+            sweep_spec_from_dict({"variable": "K", "values": [2], "trials": 1, field: value})
+
     @pytest.mark.parametrize("data", [{}, {"values": []}, {"values": ()}])
     def test_absent_or_empty_values_take_the_defaults(self, data):
         assert sweep_spec_from_dict({"variable": "L", "trials": 1, **data}).values == (5.0, 10.0, 15.0, 20.0, 25.0)

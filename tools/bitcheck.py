@@ -230,9 +230,9 @@ def training_outputs() -> dict:
 
 # long-preset GA runs past the first segment: (tag, K, chromosome_length).
 # Length 60 ends before any member's mission, so the whole population
-# reaches t_max; 137 leaves 129 (3 x 43) steps after the first segment,
-# so the last chunk is a short one. With K = 4 and 10 no member can end
-# in its first segment, so the population pass runs it too; the K = 1
+# reaches t_max; 137 is no multiple of a chunk (20 to 60 steps), so the
+# last chunk is a short one. With K = 4 and 10 no member can end in its
+# first segment, so the population pass runs it too; the K = 1
 # user's demand could drain within it, so each member's first segment
 # stays a rollout of its own, as on the default preset.
 GA_LONG = (("t60.k4", 4, 60), ("t137.k4", 4, 137), ("k1", 1, 500), ("k10", 10, 500))

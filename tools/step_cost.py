@@ -1,8 +1,8 @@
-"""Per-step and per-phase costs of the closed-loop training iteration.
+"""Per-step and per-phase costs of the closed-loop training iteration and of the GA generation.
 
     python3 tools/step_cost.py [--against REV] [--budget SECONDS] [--rounds N]
 
-Three figures of the aavtraj under test:
+Five figures of the aavtraj under test:
 - rollout K=k: the closed-loop rollout's us per step at K = 4, 10 and 20
   on the long preset (generate_scenario(0, k=K, demand_lo=20,
   demand_hi=40), init_params of seed 0, T=500), the median over repeated
@@ -13,21 +13,34 @@ Three figures of the aavtraj under test:
   TrainConfig(seed=0, max_iters=5, early_stop_delta=0)), in ms;
 - short: the same medians over acceptance check 6's five default-preset
   K=4 missions (2-4 steps), each trained to early stop with check 6's
-  seeds, in us.
+  seeds, in us;
+- ga-long: of ga-long's call (ga_optimize on the long preset at K=4 with
+  GaConfig(seed=0, generations=1)), the ms of its generation's population
+  pass (the _population_fitness call on the bred children) and of the rest
+  of the generation (breeding: selection, crossover and mutation, then
+  the best-so-far update), the medians over repeated calls;
+- check6 ga: the ms of a generation of the GA of acceptance check 6's
+  first mission (its scenario and GA seed, 100 generations), the median
+  over the generations of repeated runs. Its population pass never runs
+  (every member ends in its own first segment), so it is a control that
+  a change to the pass should leave level.
 
-Beside them it prints the calls a training iteration makes, counted
-in an untimed run after the timed ones: per phase (rollout, backward,
-opt) and for the whole iteration, of the long and short runs, the
-low median over the iterations of the sys.setprofile "call" events (Python
-frames, generators resumed included) and "c_call" events (C functions
-and methods, numpy's included). Operator ufuncs (a @ b, a += b) raise
-no event, so a call moved from an operator to a method (a @ b to
-a.dot(b)) raises the C count while it cuts work: both counts are
-reported. The counts repeat exactly, run after run; a count that
-differs between rounds prints as "varies".
+Beside them it prints the calls that a training iteration and a GA
+generation make, counted in an untimed run after the timed ones: per
+phase (rollout, backward, opt) and for the whole iteration, of the long
+and short runs, the low median over the iterations, and per part of a
+generation (ga-long's pass and breeding, check 6's whole generation),
+the low median over the generations after the first, of the
+sys.setprofile "call" events (Python frames, generators resumed
+included) and "c_call" events (C functions and methods, numpy's
+included). Operator ufuncs (a @ b, a += b) raise no event, so a call
+moved from an operator to a method (a @ b to a.dot(b)) raises the C
+count while it cuts work: both counts are reported. The counts repeat
+exactly, run after run; a count that differs between rounds prints as
+"varies".
 
 Each round is a fresh process with OPENBLAS_NUM_THREADS=1 that imports
-the tree's src/ and spends about BUDGET seconds (default 4) on the three
+the tree's src/ and spends about BUDGET seconds (default 4) on the five
 figures, at least one rollout or run each. Without --against it runs the
 working tree. With --against REV both sides run from fresh trees, as in
 tools/bench_pairs.py: REV extracted with `git archive`, and a snapshot of
@@ -129,20 +142,96 @@ def call_counts(runs: list) -> dict:
     return {name: [statistics.median_low(it[name][i] for it in done) for i in (0, 1)] for name in PHASES.values()}
 
 
+def ga_phase_medians(scn, cfg, seconds: float) -> dict:
+    """The medians over the generations after the first of ga_optimize(scn,
+
+    cfg), run again and again until seconds have passed, of the ms of the
+    generation's population pass, of the rest of the generation
+    ("breeding") and of the whole generation (timing_ms's step).
+    """
+    from aavtraj import baselines
+
+    fitness_of, passes = baselines._population_fitness, []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return fitness_of(*args)
+        finally:
+            passes.append(1e3 * (time.perf_counter() - t0))
+
+    phases = {"pass": [], "breeding": [], "generation": []}
+    deadline = time.perf_counter() + seconds
+    baselines._population_fitness = timed
+    try:
+        while not phases["pass"] or time.perf_counter() < deadline:
+            timing: list = []
+            passes.clear()
+            baselines.ga_optimize(scn, cfg, timing_ms=timing)
+            for g in range(1, len(timing)):
+                generation = timing[g] - timing[g - 1]
+                phases["pass"].append(passes[g])
+                phases["breeding"].append(generation - passes[g])
+                phases["generation"].append(generation)
+    finally:
+        baselines._population_fitness = fitness_of
+    return {name: statistics.median(values) for name, values in phases.items()}
+
+
+def ga_call_counts(scn, cfg) -> dict:
+    """[Python, C] call counts of one ga_optimize(scn, cfg) call, cut where
+
+    its _population_fitness calls start and return: per generation after
+    the first, the pass and what ga_optimize does between the previous
+    pass and this one ("breeding"), and the two together ("generation");
+    each the low median over those generations.
+    """
+    from aavtraj import baselines
+
+    code = baselines._population_fitness.__code__
+    parts = [[0, 0]]  # outside the first pass, the first pass, outside it, ...
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            parts.append([0, 0])
+        if event in ("call", "c_call"):
+            parts[-1][event == "c_call"] += 1
+        if event == "return" and frame.f_code is code:
+            parts.append([0, 0])
+
+    sys.setprofile(profile)
+    try:
+        baselines.ga_optimize(scn, cfg)
+    finally:
+        sys.setprofile(None)
+    breeding, passes = parts[2:-1:2], parts[3::2]
+    generations = [[b + p for b, p in zip(*pair)] for pair in zip(breeding, passes)]
+    return {name: [statistics.median_low(part[i] for part in values) for i in (0, 1)]
+            for name, values in (("pass", passes), ("breeding", breeding), ("generation", generations))}
+
+
 def measure(budget: float) -> dict:
     """The figures of the aavtraj on the import path, in this process."""
     import aavtraj
-    from aavtraj import TrainConfig, derive_seed, generate_scenario
+    from aavtraj import GaConfig, TrainConfig, derive_seed, generate_scenario
 
-    share = budget / (len(KS) + 2)
+    share = budget / (len(KS) + 4)
     long_runs = [(long_preset(4), TrainConfig(seed=0, max_iters=5, early_stop_delta=0.0))]
     check6 = [(generate_scenario(derive_seed(0, "scenario", "K", 4, t), k=4),
                TrainConfig(seed=derive_seed(0, "l4v", "K", 4, t))) for t in range(5)]
+    ga_long = (long_preset(4), GaConfig(seed=0, generations=1))
+    check6_ga = (check6[0][0], GaConfig(seed=derive_seed(0, "ga", "K", 4, 0), generations=100))
     figures = {f"rollout K={k} us/step": rollout_us_per_step(k, share) for k in KS}
     figures.update({f"long {PHASES[name]} ms": value for name, value in phase_medians(long_runs, share, 1.0).items()})
     figures.update({f"short {PHASES[name]} us": value for name, value in phase_medians(check6, share, 1e3).items()})
+    ga_figures = ga_phase_medians(*ga_long, share)
+    figures.update({f"ga-long {name} ms": ga_figures[name] for name in ("pass", "breeding")})
+    figures["check6 ga generation ms"] = ga_phase_medians(*check6_ga, share)["generation"]
     counts = {f"{run} {phase} calls": value for run, runs in (("long", long_runs), ("short", check6))
               for phase, value in call_counts(runs).items()}
+    ga_counts = ga_call_counts(*ga_long)
+    counts.update({f"ga-long {name} calls": ga_counts[name] for name in ("pass", "breeding")})
+    counts["check6 ga generation calls"] = ga_call_counts(*check6_ga)["generation"]
     return {"package": aavtraj.__file__, "figures": figures, "counts": counts}
 
 
@@ -166,8 +255,8 @@ def report(sides: dict) -> list:
             rel = medians["change"] / medians["parent"] - 1.0
             cells.append(f"{rel:+7.1%}  faster in {wins}/{len(sides['change'])}")
         lines.append("  ".join(cells))
-    lines.append('calls per iteration, low median over iterations: Python frames ("call") and C functions '
-                 '("c_call"); operator ufuncs (a @ b, a += b) raise no event')
+    lines.append('calls per training iteration or GA generation, low median over them: Python frames ("call") '
+                 'and C functions ("c_call"); operator ufuncs (a @ b, a += b) raise no event')
     for name in next(iter(sides.values()))[0]["counts"]:
         cells, counts = [f"{name:<26}"], {}
         for side, rounds in sides.items():
